@@ -121,7 +121,7 @@ main(int argc, char **argv)
         traffic.seed = baseSeed + 7 * c + 1;
         traffic.stopCycle = 3000;
         SyntheticTraffic source(network.numHosts(), traffic);
-        network.attachTraffic(&source);
+        network.attachWorkload(&source);
         network.armWatchdog(100000);
 
         network.sim().run(3000);

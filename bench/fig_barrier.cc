@@ -50,7 +50,7 @@ measure(Scheme scheme, bool hwCombining, double bgLoad, int rounds,
     bg.payloadFlits = 64;
     SyntheticTraffic source(net.numHosts(), bg);
     if (bgLoad > 0.0)
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
     net.tracker().setWindow(0, kNoCycle);
     net.armWatchdog(200000);
 

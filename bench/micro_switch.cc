@@ -24,7 +24,7 @@ runNetwork(benchmark::State &state, SwitchArch arch, int stages)
     TrafficParams traffic = defaultTraffic();
     traffic.load = 0.08;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     // Warm the pipes so the steady state is measured.
     net.sim().run(2000);

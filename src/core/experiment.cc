@@ -60,7 +60,7 @@ Experiment::run()
     TrafficParams traffic = traffic_;
     traffic.stopCycle = params_.warmup + params_.measure;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.tracker().setWindow(params_.warmup,
                             params_.warmup + params_.measure);

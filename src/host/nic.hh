@@ -149,9 +149,6 @@ class Nic : public Component
      *  also feeds the workload's onPosted/onDelivered hooks. */
     void setWorkload(Workload *workload) { source_ = workload; }
 
-    /** Pre-redesign name of setWorkload(). */
-    void setTrafficSource(TrafficSource *source) { source_ = source; }
-
     /**
      * Callback invoked on every *message-level* delivery at this
      * node (after reassembly), with the descriptor of the completing

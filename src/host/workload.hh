@@ -3,14 +3,14 @@
  * Workload interface between the host layer and traffic generators.
  *
  * A Workload is polled by every NIC for messages to post (the
- * open-loop half, unchanged from the original TrafficSource API) and
- * is additionally *notified* of message progress: onPosted() when a
- * polled spec has been assigned a message id, onDelivered() for every
- * per-destination copy, and onCompleted() when the tracker retires
- * the whole message. Closed-loop workloads use those notifications to
- * release dependent messages, which in turn wakes the sleeping NIC of
- * the releasing node through the wake hook — so the idle-skipping
- * fast path stays bit-identical to the always-polled oracle.
+ * open-loop half) and is additionally *notified* of message
+ * progress: onPosted() when a polled spec has been assigned a message
+ * id, onDelivered() for every per-destination copy, and onCompleted()
+ * when the tracker retires the whole message. Closed-loop workloads
+ * use those notifications to release dependent messages, which in
+ * turn wakes the sleeping NIC of the releasing node through the wake
+ * hook — so the idle-skipping fast path stays bit-identical to the
+ * always-polled oracle.
  *
  * Determinism contract (the "release rule"): a hook observing an
  * event at cycle t may schedule new emissions no earlier than t+1.
@@ -156,9 +156,6 @@ class Workload
   private:
     WakeFn wakeHook_;
 };
-
-/** Pre-redesign name of the interface (open-loop call sites). */
-using TrafficSource = Workload;
 
 } // namespace mdw
 

@@ -22,9 +22,7 @@
  * mutex is off the hot path anyway.
  *
  * Pooling only changes where the bytes live — results are bitwise
- * unaffected. MDW_PACKET_POOL=0 in the environment falls back to
- * plain make_shared (e.g. to run leak checkers that want to see
- * every allocation).
+ * unaffected.
  */
 
 #ifndef MDW_MESSAGE_POOL_HH
@@ -37,9 +35,6 @@
 #include <utility>
 
 namespace mdw {
-
-/** False when MDW_PACKET_POOL=0 is set (read once per process). */
-bool packetPoolEnabled();
 
 namespace detail {
 
@@ -221,15 +216,13 @@ class PoolAllocator
 
 /**
  * make_shared with pooled storage (object and control block in one
- * recycled block). The pool/heap choice is latched into the control
- * block, so mixing pooled and unpooled pointers is always safe.
+ * recycled block). The allocator is latched into the control block,
+ * so pooled pointers mix freely with make_shared ones.
  */
 template <typename T, typename... Args>
 std::shared_ptr<T>
 makePooled(Args &&...args)
 {
-    if (!packetPoolEnabled())
-        return std::make_shared<T>(std::forward<Args>(args)...);
     return std::allocate_shared<T>(PoolAllocator<T>(),
                                    std::forward<Args>(args)...);
 }

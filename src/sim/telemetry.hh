@@ -20,9 +20,7 @@
  * and a JSONL stream. Timestamps are simulation cycles only — never
  * wall clock — so exports are deterministic. When tracing is
  * disabled the tracer pointer held by components is null and every
- * hook is a single predictable branch; defining MDW_TELEMETRY_DISABLED
- * at compile time removes even that branch (the hooks inline to
- * nothing).
+ * hook is a single predictable branch.
  */
 
 #ifndef MDW_SIM_TELEMETRY_HH
@@ -306,11 +304,9 @@ class WormTracer
 };
 
 /**
- * Telemetry hook used on component hot paths: expands to a plain
- * null check, or to nothing when MDW_TELEMETRY_DISABLED is defined
- * (the compile-time-inlined no-op path).
+ * Telemetry hook used on component hot paths: a plain null check, so
+ * a run without tracing pays one predictable branch per event site.
  */
-#ifndef MDW_TELEMETRY_DISABLED
 #define MDW_TRACE_EVENT(tracer, kind, cycle, pkt, msg, comp, atHost, \
                         arg)                                         \
     do {                                                             \
@@ -318,12 +314,6 @@ class WormTracer
             (tracer)->record((kind), (cycle), (pkt), (msg), (comp),  \
                              (atHost), (arg));                       \
     } while (0)
-#else
-#define MDW_TRACE_EVENT(tracer, kind, cycle, pkt, msg, comp, atHost, \
-                        arg)                                         \
-    do {                                                             \
-    } while (0)
-#endif
 
 // ---------------------------------------------------------------------
 // Telemetry context

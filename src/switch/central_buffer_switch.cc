@@ -10,7 +10,8 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                                          const SwitchRouting *routing,
                                          const SwitchParams &params,
                                          const CbParams &cbParams)
-    : SwitchBase(std::move(name), id, routing, params),
+    : SwitchBase(std::move(name), id, routing, params,
+                 cbParams.inputFifoFlits),
       cbParams_(cbParams),
       cq_(CqParams{cbParams.cqChunks, cbParams.chunkFlits,
                    routing->radix(),
@@ -20,29 +21,14 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                              cbParams.chunkFlits
                        : 0})
 {
-    MDW_ASSERT(cbParams_.inputFifoFlits > 0, "input FIFO must be > 0");
     MDW_ASSERT(cbParams_.outputFifoFlits >= cbParams_.chunkFlits,
                "output FIFO must hold at least one chunk");
     const auto radix = static_cast<std::size_t>(routing->radix());
     const auto slots = radix * static_cast<std::size_t>(lanes());
     inputs_.resize(slots);
     outputs_.resize(slots);
-    for (auto &input : inputs_)
-        input.freeSlots = cbParams_.inputFifoFlits;
     writeArb_.resize(static_cast<int>(slots));
     readArb_.resize(static_cast<int>(slots));
-}
-
-int
-CentralBufferSwitch::inputOccupancy(PortId port) const
-{
-    int occupied = 0;
-    for (int l = 0; l < lanes(); ++l) {
-        const InputState &input =
-            inputs_.at(laneIdx(static_cast<std::size_t>(port), l));
-        occupied += cbParams_.inputFifoFlits - input.freeSlots;
-    }
-    return occupied;
 }
 
 int
@@ -103,7 +89,7 @@ CentralBufferSwitch::step(Cycle now)
     intake(now);
     if (poisoned_) {
         // Fault paths, inert (never entered) without fault injection.
-        fabricateFailedArrivals(now);
+        fabricateFailedArrivals();
         drainTombstones(now);
     }
     decide(now);
@@ -114,12 +100,7 @@ CentralBufferSwitch::step(Cycle now)
     cqRead(now);
     streamTransmit(now);
     cqOcc_.update(static_cast<double>(cq_.usedChunks()), now);
-    if (lanes() > 1) {
-        int occupied = 0;
-        for (const InputState &input : inputs_)
-            occupied += cbParams_.inputFifoFlits - input.freeSlots;
-        sampleLaneOccupancy(static_cast<double>(occupied), now);
-    }
+    sampleFifoOccupancy(now);
 }
 
 Cycle
@@ -130,10 +111,8 @@ CentralBufferSwitch::nextWork(Cycle now)
     // barrier releases, or central-queue residency. (CQ residency also
     // pins cqOcc_: the time average may only coast while its sampled
     // value is exactly zero.)
-    for (const InputState &input : inputs_) {
-        if (!input.packets.empty())
-            return now + 1;
-    }
+    if (!fifosEmpty())
+        return now + 1;
     for (const OutputState &output : outputs_) {
         if (!output.idle() || !output.queue.empty() ||
             output.fifoFlits > 0)
@@ -154,17 +133,19 @@ CentralBufferSwitch::dumpState(FILE *out) const
                  cq_.entryCount(), lanes());
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &in = inputs_[i];
-        if (in.packets.empty())
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty())
             continue;
-        const PacketRecord &rec = in.packets.front();
+        const PacketRecord &rec = fifo.packets.front();
         std::fprintf(out,
                      "  in%zu.%zu mode=%d pkts=%zu head=%s arrived=%d "
                      "consumed=%d outLane=%d entry=%d free=%d\n",
                      i / static_cast<std::size_t>(lanes()),
                      i % static_cast<std::size_t>(lanes()),
-                     static_cast<int>(in.mode), in.packets.size(),
+                     static_cast<int>(in.mode), fifo.packets.size(),
                      rec.pkt->toString().c_str(), rec.arrived,
-                     in.consumed, in.outLane, in.entry, in.freeSlots);
+                     in.consumed, fifo.outLane, in.entry,
+                     fifo.freeSlots);
     }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         const OutputState &out_state = outputs_[o];
@@ -197,17 +178,6 @@ CentralBufferSwitch::quiescent(std::string *why) const
     if (cq_.entryCount() != 0)
         complain("central queue holds " +
                  std::to_string(cq_.entryCount()) + " entries");
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        const InputState &in = inputs_[i];
-        if (!in.packets.empty())
-            complain("input " + std::to_string(i) + " buffers " +
-                     std::to_string(in.packets.size()) + " packets");
-        else if (in.freeSlots != cbParams_.inputFifoFlits)
-            complain("input " + std::to_string(i) + " leaked " +
-                     std::to_string(cbParams_.inputFifoFlits -
-                                    in.freeSlots) +
-                     " FIFO slots");
-    }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         const OutputState &out = outputs_[o];
         if (!out.idle() || !out.queue.empty() || out.fifoFlits != 0)
@@ -218,98 +188,24 @@ CentralBufferSwitch::quiescent(std::string *why) const
 }
 
 void
-CentralBufferSwitch::intake(Cycle now)
-{
-    for (std::size_t i = 0; i < ins_.size(); ++i) {
-        if (ins_[i].failed) {
-            // Dead link: whatever was still in flight is lost.
-            if (ins_[i].connected() && ins_[i].in->peek(now)) {
-                (void)ins_[i].in->receive(now);
-                noteTombstone();
-            }
-            continue;
-        }
-        if (!ins_[i].connected() || !ins_[i].in->peek(now))
-            continue;
-        Flit flit = ins_[i].in->receive(now);
-        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
-                   "switch %d input %zu: flit on lane %d of %d", id_,
-                   i, flit.lane, lanes());
-        InputState &input = inputs_[laneIdx(i, flit.lane)];
-        MDW_ASSERT(input.freeSlots > 0,
-                   "switch %d input %zu lane %d: flit arrived with "
-                   "full FIFO",
-                   id_, i, flit.lane);
-        --input.freeSlots;
-        stats_.flitsIn.inc();
-        if (flit.isHead()) {
-            input.packets.push_back(PacketRecord{flit.pkt, 1});
-        } else {
-            MDW_ASSERT(!input.packets.empty() &&
-                           input.packets.back().pkt->id == flit.pkt->id,
-                       "switch %d input %zu lane %d: interleaved "
-                       "packets",
-                       id_, i, flit.lane);
-            ++input.packets.back().arrived;
-        }
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
-CentralBufferSwitch::fabricateFailedArrivals(Cycle now)
-{
-    (void)now;
-    // A packet caught mid-reception on a now-dead link would leave
-    // its buffer slot (and, transitively, a central-queue entry and
-    // replication readers) occupied forever. Fabricate the missing
-    // flits at wire speed — the packet then flows through the normal
-    // pipeline and the poisoned id makes every NIC discard it on
-    // arrival (end-to-end CRC model); retransmission re-covers the
-    // destinations.
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        InputState &input = inputs_[i];
-        if (!ins_[i / static_cast<std::size_t>(lanes())].failed ||
-            input.packets.empty())
-            continue;
-        PacketRecord &rec = input.packets.back();
-        if (rec.arrived >= rec.pkt->totalFlits())
-            continue;
-        if (input.freeSlots <= 0)
-            continue; // normal backpressure; retry next cycle
-        poisonPacket(*rec.pkt);
-        --input.freeSlots;
-        ++rec.arrived;
-        stats_.flitsIn.inc();
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
 CentralBufferSwitch::drainTombstones(Cycle now)
 {
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::Tombstone)
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         const int n = std::min(staged, cbParams_.chunkFlits);
         if (n <= 0)
             continue;
         input.consumed += n;
-        input.freeSlots += n;
-        if (ins_[i / static_cast<std::size_t>(lanes())].creditOut)
-            ins_[i / static_cast<std::size_t>(lanes())].creditOut->send(
-                n, now, static_cast<int>(
-                            i % static_cast<std::size_t>(lanes())));
+        returnCredits(i, n, now);
         stats_.tombstonedFlits.inc(static_cast<std::uint64_t>(n));
         if (sim_)
             sim_->noteProgress();
         if (input.consumed == rec.pkt->totalFlits())
-            finishHeadPacket(input);
+            finishHeadPacket(i);
     }
 }
 
@@ -338,19 +234,12 @@ CentralBufferSwitch::attachTelemetry(Telemetry &telemetry)
 void
 CentralBufferSwitch::decide(Cycle now)
 {
-    reservationWaiters_ = 0;
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
-        if (input.mode != InMode::Deciding || input.packets.empty())
+        InputFifo &fifo = fifos_[i];
+        if (input.mode != InMode::Deciding || fifo.packets.empty())
             continue;
-        const PacketRecord &rec = input.packets.front();
-        MDW_ASSERT(rec.pkt->headerFlits <= cbParams_.inputFifoFlits,
-                   "header (%d flits) exceeds input FIFO (%d flits); "
-                   "enlarge cb.inputFifoFlits",
-                   rec.pkt->headerFlits, cbParams_.inputFifoFlits);
-        if (rec.arrived < rec.pkt->headerFlits)
-            continue;
-
+        const PacketRecord &rec = fifo.packets.front();
         if (rec.pkt->kind == PacketKind::BarrierArrive) {
             // Combined by the barrier unit, never routed. Absorb the
             // token once it has fully arrived.
@@ -359,40 +248,31 @@ CentralBufferSwitch::decide(Cycle now)
             continue;
         }
 
-        const RouteDecision route =
-            routing_->decode(rec.pkt->dests, params_.variant);
-        traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
-                  static_cast<std::int32_t>(i));
-        noteUnroutable(route);
-        if (route.downBranches.empty() && !route.needsUp()) {
-            // Every destination lost its path (post-fault tolerant
-            // table): swallow the worm here and let the source's
-            // retransmission logic classify the destinations.
-            poisonPacket(*rec.pkt);
+        const RouteDecision *route = decodeHead(i, now);
+        if (route == nullptr)
+            continue;
+        if (route->branchCount() == 0) {
+            // No routable destination left: swallow the worm here.
             input.mode = InMode::Tombstone;
             input.consumed = 0;
-            continue;
-        }
-        if (rec.pkt->kind == PacketKind::HwMulticast) {
-            decideMulticast(i, route, now);
+        } else if (rec.pkt->kind == PacketKind::HwMulticast) {
+            decideMulticast(i, *route, now);
         } else {
-            decideUnicast(i, route, now);
+            decideUnicast(i, *route, now);
         }
+        // A head waiting for its chunk reservation keeps the route.
+        if (input.mode != InMode::Deciding)
+            fifo.route.reset();
     }
 }
 
 void
 CentralBufferSwitch::consumeBarrierToken(std::size_t i, Cycle now)
 {
-    InputState &input = inputs_[i];
     const std::size_t port = i / static_cast<std::size_t>(lanes());
-    const int lane =
-        static_cast<int>(i % static_cast<std::size_t>(lanes()));
-    const PacketRecord rec = input.packets.front();
-    input.packets.pop_front();
-    input.freeSlots += rec.pkt->totalFlits();
-    if (ins_[port].creditOut)
-        ins_[port].creditOut->send(rec.pkt->totalFlits(), now, lane);
+    const PacketRecord rec = fifos_[i].packets.front();
+    fifos_[i].packets.pop_front();
+    returnCredits(i, rec.pkt->totalFlits(), now);
     barrierTokens_.inc();
     if (sim_)
         sim_->noteProgress();
@@ -426,13 +306,7 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             const auto entry = cq_.addReserved(
                 pkt, static_cast<int>(route.downBranches.size()));
             cq_.write(entry, pkt->totalFlits());
-            stats_.packetsRouted.inc();
-            if (route.downBranches.size() > 1) {
-                stats_.replications.inc(route.downBranches.size() - 1);
-                traceWorm(WormEvent::Replicate, now, *pkt,
-                          static_cast<std::int32_t>(
-                              route.downBranches.size() - 1));
-            }
+            noteRouted(*pkt, route.downBranches.size(), now);
             int reader = 0;
             // Barrier releases ride lane 0: they are serial control
             // traffic, and pinning them keeps the combining tree
@@ -475,11 +349,11 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
                                    Cycle now)
 {
     InputState &input = inputs_[i];
-    const PacketPtr &pkt = input.packets.front().pkt;
+    const PacketPtr &pkt = fifos_[i].packets.front().pkt;
 
     const int lane =
         allocLane(*pkt, now, [&](int l) { return laneCost(route, l); });
-    input.outLane = lane;
+    fifos_[i].outLane = lane;
     PortId target = kInvalidPort;
     PacketPtr branch_pkt;
     if (route.needsUp()) {
@@ -500,7 +374,7 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
 
     OutputState &output =
         outputs_[laneIdx(static_cast<std::size_t>(target), lane)];
-    stats_.packetsRouted.inc();
+    noteRouted(*pkt, 1, now);
     input.consumed = 0;
     if (output.idle() && output.queue.empty()) {
         // Claim the bypass crossbar path.
@@ -508,7 +382,6 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
         output.bypassInput = static_cast<int>(i);
         output.sentSeq = 0;
         input.mode = InMode::Bypass;
-        input.bypassPort = target;
         input.bypassPkt = std::move(branch_pkt);
     } else {
         input.entry = cq_.addUnreserved(pkt, 1);
@@ -524,7 +397,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
                                      Cycle now)
 {
     InputState &input = inputs_[i];
-    const PacketPtr &pkt = input.packets.front().pkt;
+    const PacketPtr &pkt = fifos_[i].packets.front().pkt;
 
     // Whole-packet chunk reservation is the acceptance condition: the
     // head waits at the FIFO head (stalling this input) until the
@@ -533,7 +406,6 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
         stats_.reservationStallCycles.inc();
         traceWorm(WormEvent::ReserveStall, now, *pkt,
                   static_cast<std::int32_t>(i));
-        ++reservationWaiters_;
         return;
     }
 
@@ -543,7 +415,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
     // entry behind bulk traffic and defeat the class isolation.
     const int lane =
         allocLane(*pkt, now, [&](int l) { return laneCost(route, l); });
-    input.outLane = lane;
+    fifos_[i].outLane = lane;
 
     // Materialize branch list: down branches plus at most one up port
     // (adaptive choice prefers the least-backlogged candidate).
@@ -574,12 +446,7 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
         cq_.addReserved(pkt, static_cast<int>(branches.size()));
     input.mode = InMode::CentralQueue;
     input.consumed = 0;
-    stats_.packetsRouted.inc();
-    if (branches.size() > 1) {
-        stats_.replications.inc(branches.size() - 1);
-        traceWorm(WormEvent::Replicate, now, *pkt,
-                  static_cast<std::int32_t>(branches.size() - 1));
-    }
+    noteRouted(*pkt, branches.size(), now);
     for (std::size_t b = 0; b < branches.size(); ++b) {
         outputs_[laneIdx(static_cast<std::size_t>(branches[b].first),
                          lane)]
@@ -592,7 +459,6 @@ void
 CentralBufferSwitch::bypassTransmit(Cycle now)
 {
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        OutPort &port = outs_[p];
         // Latency-class lanes are served first, rotating within each
         // class partition (see serviceLane); with one lane this is
         // lane 0 every cycle (the pre-lane iteration order).
@@ -601,71 +467,20 @@ CentralBufferSwitch::bypassTransmit(Cycle now)
             OutputState &output = outputs_[laneIdx(p, lane)];
             if (output.mode != OutputState::Mode::Bypass)
                 continue;
-            InputState &input =
-                inputs_[static_cast<std::size_t>(output.bypassInput)];
-            const PacketRecord &rec = input.packets.front();
-            const std::size_t in_port =
-                static_cast<std::size_t>(output.bypassInput) /
-                static_cast<std::size_t>(lanes());
-            const int in_lane = static_cast<int>(
-                static_cast<std::size_t>(output.bypassInput) %
-                static_cast<std::size_t>(lanes()));
-
-            if (input.consumed >= rec.arrived)
+            const auto in = static_cast<std::size_t>(output.bypassInput);
+            InputState &input = inputs_[in];
+            if (input.consumed >= fifos_[in].packets.front().arrived)
                 continue;
-            if (port.failed) {
-                // Tombstone sink: swallow the flit, free the input
-                // slot.
-                ++output.sentSeq;
-                ++input.consumed;
-                ++input.freeSlots;
-                if (ins_[in_port].creditOut)
-                    ins_[in_port].creditOut->send(1, now, in_lane);
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                    output.mode = OutputState::Mode::Idle;
-                    output.bypassInput = -1;
-                    output.sentSeq = 0;
-                    finishHeadPacket(input);
-                }
+            if (!sendFlit(p, lane, input.bypassPkt, output.sentSeq, now))
                 continue;
-            }
-            if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(port, now))
-                continue;
-            if (port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(output.sentSeq == 0 &&
-                      !canStartPacket(port, lane, *input.bypassPkt)))
-                    noteLaneStall(now, *input.bypassPkt, p);
-                continue;
-            }
-            if (output.sentSeq == 0 &&
-                !canStartPacket(port, lane, *input.bypassPkt))
-                continue;
-            port.out->send(Flit{input.bypassPkt, output.sentSeq, lane},
-                           now);
             ++output.sentSeq;
-            --port.credits[static_cast<std::size_t>(lane)];
             ++input.consumed;
-            ++input.freeSlots;
-            if (ins_[in_port].creditOut)
-                ins_[in_port].creditOut->send(1, now, in_lane);
-            notePortSend(p, lane);
-            if (sim_)
-                sim_->noteProgress();
-
+            returnCredits(in, 1, now);
             if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                traceWorm(WormEvent::TailDrain, now, *input.bypassPkt,
-                          static_cast<std::int32_t>(p));
                 output.mode = OutputState::Mode::Idle;
                 output.bypassInput = -1;
                 output.sentSeq = 0;
-                finishHeadPacket(input);
+                finishHeadPacket(in);
             }
         }
     }
@@ -681,7 +496,7 @@ CentralBufferSwitch::cqWrite(Cycle now)
         InputState &input = inputs_[i];
         if (input.mode != InMode::CentralQueue)
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         if (staged <= 0)
             continue;
@@ -701,40 +516,34 @@ CentralBufferSwitch::cqWrite(Cycle now)
     if (winner < 0)
         return;
 
-    InputState &input = inputs_[static_cast<std::size_t>(winner)];
-    const PacketRecord &rec = input.packets.front();
+    const auto in = static_cast<std::size_t>(winner);
+    InputState &input = inputs_[in];
+    const PacketRecord &rec = fifos_[in].packets.front();
     const int staged = rec.arrived - input.consumed;
     const int n = std::min({staged, cbParams_.chunkFlits,
                             cq_.writable(input.entry)});
     MDW_ASSERT(n > 0, "eligible input with nothing to write");
     cq_.write(input.entry, n);
     input.consumed += n;
-    input.freeSlots += n;
-    const std::size_t in_port = static_cast<std::size_t>(winner) /
-                                static_cast<std::size_t>(lanes());
-    const int in_lane =
-        static_cast<int>(static_cast<std::size_t>(winner) %
-                         static_cast<std::size_t>(lanes()));
-    if (ins_[in_port].creditOut)
-        ins_[in_port].creditOut->send(n, now, in_lane);
+    returnCredits(in, n, now);
     if (sim_)
         sim_->noteProgress();
 
     if (input.consumed == rec.pkt->totalFlits())
-        finishHeadPacket(input);
+        finishHeadPacket(in);
 }
 
 void
-CentralBufferSwitch::finishHeadPacket(InputState &input)
+CentralBufferSwitch::finishHeadPacket(std::size_t i)
 {
     // The head packet has fully left the input FIFO; the input is
     // free to decode the next packet even while the central queue
     // still drains the previous one.
-    input.packets.pop_front();
+    fifos_[i].packets.pop_front();
+    fifos_[i].outLane = 0;
+    InputState &input = inputs_[i];
     input.mode = InMode::Deciding;
     input.consumed = 0;
-    input.outLane = 0;
-    input.bypassPort = kInvalidPort;
     input.bypassPkt = nullptr;
     input.entry = CentralQueue::kNoEntry;
 }
@@ -796,62 +605,21 @@ void
 CentralBufferSwitch::streamTransmit(Cycle now)
 {
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        OutPort &port = outs_[p];
         // Same lane service order as bypassTransmit (lane 0 at L=1).
         for (int k = 0; k < lanes(); ++k) {
             const int lane = serviceLane(now, k);
             OutputState &output = outputs_[laneIdx(p, lane)];
-            if (output.mode != OutputState::Mode::Stream)
+            if (output.mode != OutputState::Mode::Stream ||
+                output.fifoFlits <= 0)
                 continue;
-            if (output.fifoFlits <= 0)
-                continue;
-            if (port.failed) {
-                // Tombstone sink: consume at wire speed so the central
-                // queue's reader advances and chunks recycle.
-                const PacketPtr &dead = output.current.branchPkt;
-                ++output.sentSeq;
-                --output.fifoFlits;
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (output.sentSeq == dead->totalFlits()) {
-                    output.mode = OutputState::Mode::Idle;
-                    output.fifoFlits = 0;
-                    output.readSeq = 0;
-                    output.sentSeq = 0;
-                    output.current = QueueItem{};
-                }
-                continue;
-            }
+            // A failed port still consumes at wire speed, so the
+            // central queue's reader advances and chunks recycle.
             const PacketPtr &pkt = output.current.branchPkt;
-            if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(port, now))
+            if (!sendFlit(p, lane, pkt, output.sentSeq, now))
                 continue;
-            if (port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(output.sentSeq == 0 &&
-                      !canStartPacket(port, lane, *pkt)))
-                    noteLaneStall(now, *pkt, p);
-                continue;
-            }
-            if (output.sentSeq == 0 && !canStartPacket(port, lane, *pkt)) {
-                stats_.reservationStallCycles.inc();
-                traceWorm(WormEvent::ReserveStall, now, *pkt,
-                          static_cast<std::int32_t>(p));
-                continue;
-            }
-            port.out->send(Flit{pkt, output.sentSeq, lane}, now);
             ++output.sentSeq;
             --output.fifoFlits;
-            --port.credits[static_cast<std::size_t>(lane)];
-            notePortSend(p, lane);
-            if (sim_)
-                sim_->noteProgress();
             if (output.sentSeq == pkt->totalFlits()) {
-                traceWorm(WormEvent::TailDrain, now, *pkt,
-                          static_cast<std::int32_t>(p));
                 output.mode = OutputState::Mode::Idle;
                 output.fifoFlits = 0;
                 output.readSeq = 0;

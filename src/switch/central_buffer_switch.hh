@@ -82,8 +82,6 @@ class CentralBufferSwitch : public SwitchBase
     int cqUsedChunks() const { return cq_.usedChunks(); }
     /** Resident packets in the central queue (tests). */
     std::size_t cqEntries() const { return cq_.entryCount(); }
-    /** Flits buffered at input @p port (tests). */
-    int inputOccupancy(PortId port) const;
     /** Time-averaged central-queue occupancy, chunks. */
     double avgCqChunks(Cycle now) const { return cqOcc_.average(now); }
 
@@ -118,29 +116,14 @@ class CentralBufferSwitch : public SwitchBase
     /** How the head packet of an input is being served. */
     enum class InMode { Deciding, Bypass, CentralQueue, Tombstone };
 
-    struct PacketRecord
-    {
-        PacketPtr pkt;
-        int arrived = 0;
-    };
-
-    /**
-     * Per-(input port, lane) FIFO state, laneIdx-flattened: each lane
-     * owns an independent FIFO of the full advertised window.
-     */
+    /** How the head packet of an input FIFO is being served,
+     *  laneIdx-flattened alongside SwitchBase::fifos_. */
     struct InputState
     {
-        std::deque<PacketRecord> packets;
-        int freeSlots = 0;
         InMode mode = InMode::Deciding;
         /** Head-packet flits taken out of the FIFO so far. */
         int consumed = 0;
-        /** Output lane the head packet was allocated at decode; every
-         *  replication branch is queued on it (branch-consistent lane
-         *  reservation). */
-        int outLane = 0;
-        /** Bypass: target output and pruned descriptor. */
-        PortId bypassPort = kInvalidPort;
+        /** Bypass: the pruned descriptor the claimed output sends. */
         PacketPtr bypassPkt;
         /** Central-queue mode: entry being written. */
         CentralQueue::EntryId entry = CentralQueue::kNoEntry;
@@ -173,9 +156,6 @@ class CentralBufferSwitch : public SwitchBase
         bool idle() const { return mode == Mode::Idle; }
     };
 
-    void intake(Cycle now);
-    /** Complete packets cut off by a failed input link (fault). */
-    void fabricateFailedArrivals(Cycle now);
     /** Drain inputs whose head packet has nowhere to go (fault). */
     void drainTombstones(Cycle now);
     void decide(Cycle now);
@@ -192,15 +172,12 @@ class CentralBufferSwitch : public SwitchBase
     void activateStreams();
     void cqRead(Cycle now);
     void streamTransmit(Cycle now);
-    void finishHeadPacket(InputState &input);
+    void finishHeadPacket(std::size_t input);
 
     /** Queue-length cost used by adaptive up-port choice. */
     int outputBacklog(PortId port, int lane) const;
     /** Adaptive lane cost: backlog of the required outputs on @p lane. */
     int laneCost(const RouteDecision &route, int lane) const;
-
-    /** Inputs currently stalled on a failed chunk reservation. */
-    int reservationWaiters_ = 0;
 
     CbParams cbParams_;
     CentralQueue cq_;

@@ -10,17 +10,15 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
                                      const SwitchRouting *routing,
                                      const SwitchParams &params,
                                      const IbParams &ibParams)
-    : SwitchBase(std::move(name), id, routing, params),
+    : SwitchBase(std::move(name), id, routing, params,
+                 ibParams.bufferFlits),
       ibParams_(ibParams)
 {
-    MDW_ASSERT(ibParams_.bufferFlits > 0, "input buffer must be > 0");
     const auto radix = static_cast<std::size_t>(routing->radix());
     const auto slots = radix * static_cast<std::size_t>(lanes());
     inputs_.resize(slots);
     outputs_.resize(slots);
     outputArb_.resize(slots);
-    for (auto &input : inputs_)
-        input.freeSlots = ibParams_.bufferFlits;
     for (auto &arb : outputArb_)
         arb.resize(static_cast<int>(slots));
     syncArb_.resize(static_cast<int>(slots));
@@ -29,25 +27,13 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
 bool
 InputBufferSwitch::fullyGranted(const InputState &input)
 {
-    if (!input.decoded || input.upPending || input.branches.empty())
+    if (!input.admitted || input.upPending || input.branches.empty())
         return false;
     for (const Branch &branch : input.branches) {
         if (!branch.granted)
             return false;
     }
     return true;
-}
-
-int
-InputBufferSwitch::bufferOccupancy(PortId port) const
-{
-    int occupied = 0;
-    for (int l = 0; l < lanes(); ++l) {
-        const InputState &input =
-            inputs_.at(laneIdx(static_cast<std::size_t>(port), l));
-        occupied += ibParams_.bufferFlits - input.freeSlots;
-    }
-    return occupied;
 }
 
 bool
@@ -68,18 +54,19 @@ InputBufferSwitch::dumpState(FILE *out) const
                  name().c_str(), lanes());
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &in = inputs_[i];
-        if (in.packets.empty())
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty())
             continue;
-        const PacketRecord &rec = in.packets.front();
+        const PacketRecord &rec = fifo.packets.front();
         std::fprintf(out,
                      "  in%zu.%zu pkts=%zu head=%s arrived=%d "
-                     "released=%d decoded=%d outLane=%d upPending=%d "
+                     "released=%d admitted=%d outLane=%d upPending=%d "
                      "free=%d\n",
                      i / static_cast<std::size_t>(lanes()),
                      i % static_cast<std::size_t>(lanes()),
-                     in.packets.size(), rec.pkt->toString().c_str(),
-                     rec.arrived, in.released, in.decoded, in.outLane,
-                     in.upPending, in.freeSlots);
+                     fifo.packets.size(), rec.pkt->toString().c_str(),
+                     rec.arrived, in.released, in.admitted, fifo.outLane,
+                     in.upPending, fifo.freeSlots);
         for (const Branch &branch : in.branches) {
             std::fprintf(out, "    branch port=%d sent=%d granted=%d\n",
                          branch.port, branch.sent, branch.granted);
@@ -104,7 +91,7 @@ InputBufferSwitch::step(Cycle now)
     intake(now);
     if (poisoned_)
         fabricateFailedArrivals();
-    decodeHeads(now);
+    admitHeads(now);
     if (params_.replication == ReplicationMode::Synchronous) {
         arbitrateSync();
         transmitSync(now);
@@ -113,12 +100,7 @@ InputBufferSwitch::step(Cycle now)
         transmit(now);
     }
     release(now);
-    if (lanes() > 1) {
-        int occupied = 0;
-        for (const InputState &input : inputs_)
-            occupied += ibParams_.bufferFlits - input.freeSlots;
-        sampleLaneOccupancy(static_cast<double>(occupied), now);
-    }
+    sampleFifoOccupancy(now);
 }
 
 Cycle
@@ -127,83 +109,13 @@ InputBufferSwitch::nextWork(Cycle now)
     // Buffered packets cover every ongoing activity: branches and
     // output bindings only exist for a resident head packet, and
     // release() frees slots only while packets are queued.
-    for (const InputState &input : inputs_) {
-        if (!input.packets.empty())
-            return now + 1;
-    }
+    if (!fifosEmpty())
+        return now + 1;
     for (const OutputState &output : outputs_) {
         if (output.busy())
             return now + 1;
     }
     return earliestLinkArrival();
-}
-
-void
-InputBufferSwitch::intake(Cycle now)
-{
-    for (std::size_t i = 0; i < ins_.size(); ++i) {
-        if (!ins_[i].connected() || !ins_[i].in->peek(now))
-            continue;
-        if (ins_[i].failed) {
-            // Dead link: discard whatever still trickles in (the
-            // fabrication path completes any cut-off packet instead).
-            ins_[i].in->receive(now);
-            noteTombstone();
-            continue;
-        }
-        Flit flit = ins_[i].in->receive(now);
-        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
-                   "switch %d input %zu: flit on lane %d of %d", id_,
-                   i, flit.lane, lanes());
-        InputState &input = inputs_[laneIdx(i, flit.lane)];
-        MDW_ASSERT(input.freeSlots > 0,
-                   "switch %d input %zu lane %d: flit arrived with "
-                   "full buffer (credit protocol violated)",
-                   id_, i, flit.lane);
-        --input.freeSlots;
-        stats_.flitsIn.inc();
-        if (flit.isHead()) {
-            MDW_ASSERT(flit.pkt->totalFlits() <= ibParams_.bufferFlits,
-                       "packet %llu (%d flits) exceeds input buffer "
-                       "(%d flits)",
-                       static_cast<unsigned long long>(flit.pkt->id),
-                       flit.pkt->totalFlits(), ibParams_.bufferFlits);
-            input.packets.push_back(PacketRecord{flit.pkt, 1});
-        } else {
-            MDW_ASSERT(!input.packets.empty() &&
-                           input.packets.back().pkt->id == flit.pkt->id,
-                       "switch %d input %zu lane %d: interleaved "
-                       "packets on one lane",
-                       id_, i, flit.lane);
-            ++input.packets.back().arrived;
-        }
-        if (sim_)
-            sim_->noteProgress();
-    }
-}
-
-void
-InputBufferSwitch::fabricateFailedArrivals()
-{
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        if (!ins_[i / static_cast<std::size_t>(lanes())].failed)
-            continue;
-        InputState &input = inputs_[i];
-        if (input.packets.empty())
-            continue;
-        PacketRecord &rec = input.packets.back();
-        if (rec.arrived >= rec.pkt->totalFlits() || input.freeSlots <= 0)
-            continue;
-        // The link died mid-packet: materialize the missing flits
-        // locally (one per cycle, as the wire would have) and poison
-        // the id so NICs discard the mangled delivery end-to-end.
-        poisonPacket(*rec.pkt);
-        --input.freeSlots;
-        ++rec.arrived;
-        stats_.flitsIn.inc();
-        if (sim_)
-            sim_->noteProgress();
-    }
 }
 
 int
@@ -233,68 +145,57 @@ InputBufferSwitch::laneCost(const RouteDecision &route, int lane) const
 }
 
 void
-InputBufferSwitch::decodeHeads(Cycle now)
+InputBufferSwitch::admitHeads(Cycle now)
 {
-    for (auto &input : inputs_) {
-        if (input.decoded || input.packets.empty())
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        InputState &input = inputs_[i];
+        if (input.admitted)
             continue;
-        const PacketRecord &rec = input.packets.front();
-        if (rec.arrived < rec.pkt->headerFlits)
+        const RouteDecision *route = decodeHead(i, now);
+        if (route == nullptr)
             continue;
-
-        const RouteDecision route =
-            routing_->decode(rec.pkt->dests, params_.variant);
-        traceWorm(WormEvent::HeaderDecode, now, *rec.pkt);
-        noteUnroutable(route);
-        if (route.downBranches.empty() && !route.needsUp()) {
-            // Every destination lost its route to the faults: poison
-            // the packet and drain it branchless (release() consumes
-            // it at arrival speed).
-            poisonPacket(*rec.pkt);
-            input.branches.clear();
-            input.upPending = false;
-            input.decoded = true;
-            input.released = 0;
-            stats_.packetsRouted.inc();
-            continue;
-        }
-        // One lane choice per worm, applied to every replication
-        // branch: a multidestination worm must hold the same lane
-        // class on all of its output branches, or a branch on a bulk
-        // lane could stall the whole worm behind bulk traffic and
-        // defeat the class isolation.
-        input.outLane = allocLane(*rec.pkt, now, [&](int lane) {
-            return laneCost(route, lane);
-        });
-        input.branches.clear();
-        input.branches.reserve(route.downBranches.size() + 1);
-        for (const auto &[port, sub] : route.downBranches)
-            input.branches.push_back(
-                Branch{port, pruneBranch(rec.pkt, sub), 0, false});
-        input.upPending = false;
-        if (route.needsUp()) {
-            if (params_.upPolicy == UpPortPolicy::Deterministic) {
-                const PortId up = chooseUpPort(route, *rec.pkt,
-                                               input.outLane, nullptr);
-                input.branches.push_back(
-                    Branch{up, pruneBranch(rec.pkt, route.upDests), 0,
-                           false});
-            } else {
-                input.upPending = true;
-                input.upCandidates = route.upCandidates;
-                input.upDests = route.upDests;
-            }
-        }
-        input.decoded = true;
+        InputFifo &fifo = fifos_[i];
+        const PacketPtr &pkt = fifo.packets.front().pkt;
+        MDW_ASSERT(pkt->totalFlits() <= ibParams_.bufferFlits,
+                   "packet %llu (%d flits) exceeds input buffer "
+                   "(%d flits)",
+                   static_cast<unsigned long long>(pkt->id),
+                   pkt->totalFlits(), ibParams_.bufferFlits);
+        input.admitted = true;
         input.released = 0;
-        stats_.packetsRouted.inc();
-        const std::size_t copies =
-            route.downBranches.size() + (route.needsUp() ? 1 : 0);
-        if (copies > 1) {
-            stats_.replications.inc(copies - 1);
-            traceWorm(WormEvent::Replicate, now, *rec.pkt,
-                      static_cast<std::int32_t>(copies - 1));
+        input.upPending = false;
+        input.branches.clear();
+        // A worm with no routable destination stays branchless:
+        // release() drains it at arrival speed.
+        if (route->branchCount() > 0) {
+            // One lane choice per worm, applied to every replication
+            // branch: a multidestination worm must hold the same lane
+            // class on all of its output branches, or a branch on a
+            // bulk lane could stall the whole worm behind bulk
+            // traffic and defeat the class isolation.
+            fifo.outLane = allocLane(*pkt, now, [&](int lane) {
+                return laneCost(*route, lane);
+            });
+            input.branches.reserve(route->downBranches.size() + 1);
+            for (const auto &[port, sub] : route->downBranches)
+                input.branches.push_back(
+                    Branch{port, pruneBranch(pkt, sub), 0, false});
+            if (route->needsUp()) {
+                if (params_.upPolicy == UpPortPolicy::Deterministic) {
+                    const PortId up = chooseUpPort(*route, *pkt,
+                                                   fifo.outLane, nullptr);
+                    input.branches.push_back(
+                        Branch{up, pruneBranch(pkt, route->upDests), 0,
+                               false});
+                } else {
+                    input.upPending = true;
+                    input.upCandidates = route->upCandidates;
+                    input.upDests = route->upDests;
+                }
+            }
+            noteRouted(*pkt, route->branchCount(), now);
         }
+        fifo.route.reset();
     }
 }
 
@@ -314,7 +215,7 @@ InputBufferSwitch::arbitrate()
         std::vector<int> branchOf(inputs_.size(), -1);
         for (std::size_t i = 0; i < inputs_.size(); ++i) {
             InputState &input = inputs_[i];
-            if (!input.decoded || input.outLane != lane)
+            if (!input.admitted || fifos_[i].outLane != lane)
                 continue;
             for (std::size_t b = 0; b < input.branches.size(); ++b) {
                 const Branch &branch = input.branches[b];
@@ -341,7 +242,8 @@ InputBufferSwitch::arbitrate()
         int branch_idx = branchOf[static_cast<std::size_t>(winner)];
         if (branch_idx == -2) {
             // Adaptive up request: materialize the up branch here.
-            const PacketPtr &pkt = input.packets.front().pkt;
+            const PacketPtr &pkt =
+                fifos_[static_cast<std::size_t>(winner)].packets.front().pkt;
             input.branches.push_back(
                 Branch{static_cast<PortId>(port),
                        pruneBranch(pkt, input.upDests), 0, true});
@@ -360,7 +262,6 @@ void
 InputBufferSwitch::transmit(Cycle now)
 {
     for (std::size_t port = 0; port < outs_.size(); ++port) {
-        OutPort &out_port = outs_[port];
         // Latency-class lanes are served first, rotating within each
         // class partition (see serviceLane); with one lane this is
         // lane 0 every cycle (the pre-lane iteration order).
@@ -369,60 +270,22 @@ InputBufferSwitch::transmit(Cycle now)
             OutputState &output = outputs_[laneIdx(port, lane)];
             if (!output.busy())
                 continue;
-            InputState &input =
-                inputs_[static_cast<std::size_t>(output.boundInput)];
+            const auto in = static_cast<std::size_t>(output.boundInput);
             Branch &branch =
-                input.branches[static_cast<std::size_t>(
+                inputs_[in].branches[static_cast<std::size_t>(
                     output.boundBranch)];
-            const PacketRecord &rec = input.packets.front();
+            const PacketRecord &rec = fifos_[in].packets.front();
             MDW_ASSERT(rec.pkt->id == branch.pkt->id,
                        "output %zu bound to a non-head packet", port);
 
             if (branch.sent >= rec.arrived)
                 continue; // flit not yet in the buffer
-            if (out_port.failed) {
-                // Tombstone sink: swallow the flit at wire speed so
-                // the buffer slot recycles and sibling branches keep
-                // going.
-                ++branch.sent;
-                noteTombstone();
-                if (sim_)
-                    sim_->noteProgress();
-                if (branch.done()) {
-                    output.boundInput = -1;
-                    output.boundBranch = -1;
-                }
+            // A failed port swallows the flit at wire speed so the
+            // buffer slot recycles and sibling branches keep going.
+            if (!sendFlit(port, lane, branch.pkt, branch.sent, now))
                 continue;
-            }
-            if (out_port.credits[static_cast<std::size_t>(lane)] < 1 ||
-                portThrottled(out_port, now))
-                continue;
-            if (out_port.out->busy(now)) {
-                // The physical link already carried another lane's
-                // flit this cycle; this lane was otherwise ready.
-                if (lanes() > 1 &&
-                    !(branch.sent == 0 &&
-                      !canStartPacket(out_port, lane, *branch.pkt)))
-                    noteLaneStall(now, *branch.pkt, port);
-                continue;
-            }
-            if (branch.sent == 0 &&
-                !canStartPacket(out_port, lane, *branch.pkt)) {
-                stats_.reservationStallCycles.inc();
-                traceWorm(WormEvent::ReserveStall, now, *branch.pkt,
-                          static_cast<std::int32_t>(port));
-                continue;
-            }
-            out_port.out->send(Flit{branch.pkt, branch.sent, lane},
-                               now);
             ++branch.sent;
-            --out_port.credits[static_cast<std::size_t>(lane)];
-            notePortSend(port, lane);
-            if (sim_)
-                sim_->noteProgress();
             if (branch.done()) {
-                traceWorm(WormEvent::TailDrain, now, *branch.pkt,
-                          static_cast<std::int32_t>(port));
                 output.boundInput = -1;
                 output.boundBranch = -1;
             }
@@ -440,7 +303,7 @@ InputBufferSwitch::arbitrateSync()
     std::vector<bool> ready(inputs_.size(), false);
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &input = inputs_[i];
-        if (!input.decoded)
+        if (!input.admitted)
             continue;
         bool wants = input.upPending;
         for (const Branch &branch : input.branches)
@@ -455,7 +318,7 @@ InputBufferSwitch::arbitrateSync()
             return;
         ready[static_cast<std::size_t>(i)] = false;
         InputState &input = inputs_[static_cast<std::size_t>(i)];
-        const int lane = input.outLane;
+        const int lane = fifos_[static_cast<std::size_t>(i)].outLane;
 
         // Collect the full port set: ungranted branches plus, if
         // unresolved, one free up candidate — all on the worm's lane.
@@ -492,7 +355,8 @@ InputBufferSwitch::arbitrateSync()
 
         // Commit: bind every port.
         if (up_choice != kInvalidPort) {
-            const PacketPtr &pkt = input.packets.front().pkt;
+            const PacketPtr &pkt =
+                fifos_[static_cast<std::size_t>(i)].packets.front().pkt;
             input.branches.push_back(Branch{
                 up_choice, pruneBranch(pkt, input.upDests), 0, false});
             input.upPending = false;
@@ -517,8 +381,8 @@ InputBufferSwitch::transmitSync(Cycle now)
         InputState &input = inputs_[i];
         if (!fullyGranted(input))
             continue;
-        const PacketRecord &rec = input.packets.front();
-        const int lane = input.outLane;
+        const PacketRecord &rec = fifos_[i].packets.front();
+        const int lane = fifos_[i].outLane;
         const int sent = input.branches.front().sent;
         if (sent >= rec.arrived)
             continue;
@@ -562,10 +426,9 @@ InputBufferSwitch::transmitSync(Cycle now)
                 done = branch.done();
                 continue;
             }
-            port.out->send(Flit{branch.pkt, branch.sent, lane}, now);
+            pushFlit(static_cast<std::size_t>(branch.port), lane,
+                     branch.pkt, branch.sent, now);
             ++branch.sent;
-            --port.credits[static_cast<std::size_t>(lane)];
-            notePortSend(static_cast<std::size_t>(branch.port), lane);
             done = branch.done();
         }
         if (sim_)
@@ -587,9 +450,9 @@ InputBufferSwitch::release(Cycle now)
 {
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
-        if (!input.decoded || input.packets.empty())
+        if (!input.admitted)
             continue;
-        const PacketRecord &rec = input.packets.front();
+        const PacketRecord &rec = fifos_[i].packets.front();
         const int total = rec.pkt->totalFlits();
 
         int min_sent = total;
@@ -601,22 +464,15 @@ InputBufferSwitch::release(Cycle now)
             min_sent = std::min(min_sent, branch.sent);
 
         if (min_sent > input.released) {
-            const int freed = min_sent - input.released;
+            returnCredits(i, min_sent - input.released, now);
             input.released = min_sent;
-            input.freeSlots += freed;
-            const std::size_t port =
-                i / static_cast<std::size_t>(lanes());
-            const int lane = static_cast<int>(
-                i % static_cast<std::size_t>(lanes()));
-            if (ins_[port].creditOut)
-                ins_[port].creditOut->send(freed, now, lane);
         }
 
         if (input.released == total) {
             MDW_ASSERT(rec.arrived == total,
                        "released more flits than arrived");
-            input.packets.pop_front();
-            input.decoded = false;
+            fifos_[i].packets.pop_front();
+            input.admitted = false;
             input.branches.clear();
             input.upPending = false;
             input.released = 0;
@@ -646,25 +502,13 @@ InputBufferSwitch::quiescent(std::string *why) const
 {
     if (!SwitchBase::quiescent(why))
         return false;
-    const auto complain = [&](const std::string &what) {
-        if (why)
-            *why += name() + ": " + what + "; ";
-        return false;
-    };
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        const InputState &input = inputs_[i];
-        if (!input.packets.empty())
-            return complain("input " + std::to_string(i) + " holds " +
-                            std::to_string(input.packets.size()) +
-                            " packet(s)");
-        if (input.freeSlots != ibParams_.bufferFlits)
-            return complain("input " + std::to_string(i) +
-                            " buffer not fully drained");
-    }
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        if (outputs_[o].busy())
-            return complain("output " + std::to_string(o) +
-                            " still bound to a branch");
+        if (outputs_[o].busy()) {
+            if (why)
+                *why += name() + ": output " + std::to_string(o) +
+                        " still bound to a branch; ";
+            return false;
+        }
     }
     return true;
 }

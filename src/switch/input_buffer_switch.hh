@@ -27,7 +27,6 @@
 #define MDW_SWITCH_INPUT_BUFFER_SWITCH_HH
 
 #include <cstdio>
-#include <deque>
 
 #include "switch/arbiter.hh"
 #include "switch/switch_base.hh"
@@ -64,9 +63,6 @@ class InputBufferSwitch : public SwitchBase
         return ReceivePolicy{ibParams_.bufferFlits, true};
     }
 
-    /** Flits currently buffered at input @p port, all lanes (tests). */
-    int bufferOccupancy(PortId port) const;
-
     /** True if any lane of output @p port streams a branch (tests). */
     bool outputBusy(PortId port) const;
 
@@ -89,29 +85,18 @@ class InputBufferSwitch : public SwitchBase
         bool done() const { return sent >= pkt->totalFlits(); }
     };
 
-    /** One packet resident (possibly partially) in an input buffer. */
-    struct PacketRecord
-    {
-        PacketPtr pkt;
-        int arrived = 0;
-    };
-
     /**
-     * Per-(input port, lane) buffer state, laneIdx-flattened: each
-     * lane owns an independent FIFO of the full advertised window, so
-     * a multi-lane switch buffers lanes x bufferFlits per port.
+     * Replication state of the head packet of an input buffer,
+     * laneIdx-flattened alongside SwitchBase::fifos_ (each lane owns
+     * an independent buffer of the full advertised window, so a
+     * multi-lane switch buffers lanes x bufferFlits per port).
      */
     struct InputState
     {
-        std::deque<PacketRecord> packets;
-        int freeSlots = 0;
         /** Head-packet flits already forwarded by every branch. */
         int released = 0;
-        bool decoded = false;
-        /** Output lane the head packet was allocated at decode; every
-         *  replication branch streams on this lane (branch-consistent
-         *  lane reservation). */
-        int outLane = 0;
+        /** The head is decoded and its branches are set up. */
+        bool admitted = false;
         /** Head packet still needs an up port to be granted. */
         bool upPending = false;
         std::vector<PortId> upCandidates;
@@ -129,10 +114,8 @@ class InputBufferSwitch : public SwitchBase
         bool busy() const { return boundInput >= 0; }
     };
 
-    void intake(Cycle now);
-    /** Complete packets cut off by a failed input link (fault). */
-    void fabricateFailedArrivals();
-    void decodeHeads(Cycle now);
+    /** Decode and admit input heads: set up their branches. */
+    void admitHeads(Cycle now);
     /** Adaptive lane cost: required output (port, lane) slots busy. */
     int laneCost(const RouteDecision &route, int lane) const;
     void arbitrate();

@@ -20,11 +20,14 @@ toString(ReplicationMode mode)
 
 SwitchBase::SwitchBase(std::string name, SwitchId id,
                        const SwitchRouting *routing,
-                       const SwitchParams &params)
+                       const SwitchParams &params, int fifoFlits)
     : Component(std::move(name)), id_(id), routing_(routing),
       params_(params),
       ins_(static_cast<std::size_t>(routing->radix())),
       outs_(static_cast<std::size_t>(routing->radix())),
+      fifoFlits_(fifoFlits),
+      fifos_(static_cast<std::size_t>(routing->radix()) *
+             static_cast<std::size_t>(params.lanes)),
       portTx_(static_cast<std::size_t>(routing->radix())),
       laneTx_(static_cast<std::size_t>(routing->radix()) *
               static_cast<std::size_t>(params.lanes)),
@@ -33,6 +36,9 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
     MDW_ASSERT(routing != nullptr, "switch %d without routing", id);
     MDW_ASSERT(params.lanes >= 1, "switch %d with %d lanes", id,
                params.lanes);
+    MDW_ASSERT(fifoFlits > 0, "switch %d input FIFO must be > 0", id);
+    for (InputFifo &fifo : fifos_)
+        fifo.freeSlots = fifoFlits;
 }
 
 void
@@ -93,6 +99,8 @@ SwitchBase::setRouting(const SwitchRouting *routing)
     MDW_ASSERT(routing->radix() == routing_->radix(),
                "switch %d rerouted to a different radix", id_);
     routing_ = routing;
+    for (InputFifo &fifo : fifos_)
+        fifo.route.reset();
 }
 
 void
@@ -121,20 +129,240 @@ SwitchBase::degradeOutPort(PortId port, int factor)
 }
 
 void
-SwitchBase::noteUnroutable(const RouteDecision &route)
+SwitchBase::intake(Cycle now)
 {
-    if (route.unroutable.empty())
+    for (std::size_t i = 0; i < ins_.size(); ++i) {
+        InPort &port = ins_[i];
+        if (!port.connected() || !port.in->peek(now))
+            continue;
+        Flit flit = port.in->receive(now);
+        if (port.failed) {
+            // Dead link: discard whatever still trickles in (the
+            // fabrication path completes any cut-off packet instead).
+            noteTombstone();
+            continue;
+        }
+        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
+                   "switch %d input %zu: flit on lane %d of %d", id_,
+                   i, flit.lane, lanes());
+        InputFifo &fifo = fifos_[laneIdx(i, flit.lane)];
+        MDW_ASSERT(fifo.freeSlots > 0,
+                   "switch %d input %zu lane %d: flit arrived with "
+                   "full FIFO (credit protocol violated)",
+                   id_, i, flit.lane);
+        --fifo.freeSlots;
+        stats_.flitsIn.inc();
+        if (flit.isHead()) {
+            // Decode needs the whole header resident at once.
+            MDW_ASSERT(flit.pkt->headerFlits <= fifoFlits_,
+                       "header (%d flits) exceeds the %d-flit input "
+                       "FIFO",
+                       flit.pkt->headerFlits, fifoFlits_);
+            fifo.packets.push_back(PacketRecord{flit.pkt, 1});
+        } else {
+            MDW_ASSERT(!fifo.packets.empty() &&
+                           fifo.packets.back().pkt->id == flit.pkt->id,
+                       "switch %d input %zu lane %d: interleaved "
+                       "packets on one lane",
+                       id_, i, flit.lane);
+            ++fifo.packets.back().arrived;
+        }
+        if (sim_)
+            sim_->noteProgress();
+    }
+}
+
+void
+SwitchBase::fabricateFailedArrivals()
+{
+    // A packet caught mid-reception on a now-dead link would hold its
+    // FIFO slots (and, behind them, the architecture's buffers and
+    // replication state) forever. Materialize the missing flits
+    // locally, one per cycle as the wire would have, and poison the
+    // id so every NIC discards the mangled delivery end-to-end;
+    // retransmission re-covers the destinations.
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        if (!ins_[i / static_cast<std::size_t>(lanes())].failed)
+            continue;
+        InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty())
+            continue;
+        PacketRecord &rec = fifo.packets.back();
+        if (rec.arrived >= rec.pkt->totalFlits() || fifo.freeSlots <= 0)
+            continue;
+        poisonPacket(*rec.pkt);
+        --fifo.freeSlots;
+        ++rec.arrived;
+        stats_.flitsIn.inc();
+        if (sim_)
+            sim_->noteProgress();
+    }
+}
+
+const RouteDecision *
+SwitchBase::decodeHead(std::size_t i, Cycle now)
+{
+    InputFifo &fifo = fifos_[i];
+    if (fifo.route)
+        return &*fifo.route;
+    if (fifo.packets.empty())
+        return nullptr;
+    const PacketRecord &rec = fifo.packets.front();
+    if (rec.arrived < rec.pkt->headerFlits)
+        return nullptr;
+
+    fifo.route = routing_->decode(rec.pkt->dests, params_.variant);
+    traceWorm(WormEvent::HeaderDecode, now, *rec.pkt,
+              static_cast<std::int32_t>(i));
+    const RouteDecision &route = *fifo.route;
+    if (!route.unroutable.empty()) {
+        // Only a tolerant (post-fault) table drops destinations; an
+        // intact network must route them all.
+        MDW_ASSERT(poisoned_ != nullptr,
+                   "switch %d: unroutable destinations on an intact "
+                   "network",
+                   id_);
+        stats_.unroutableDests.inc(route.unroutable.count());
+    }
+    if (route.branchCount() == 0) {
+        // Every destination lost its path: the architecture swallows
+        // the worm and the source's retransmission logic classifies
+        // the destinations.
+        poisonPacket(*rec.pkt);
+        noteRouted(*rec.pkt, 0, now);
+    }
+    return &route;
+}
+
+void
+SwitchBase::returnCredits(std::size_t i, int n, Cycle now)
+{
+    fifos_[i].freeSlots += n;
+    const InPort &port = ins_[i / static_cast<std::size_t>(lanes())];
+    if (port.creditOut)
+        port.creditOut->send(
+            n, now, static_cast<int>(i % static_cast<std::size_t>(lanes())));
+}
+
+void
+SwitchBase::noteRouted(const PacketDesc &pkt, std::size_t copies,
+                       Cycle now)
+{
+    stats_.packetsRouted.inc();
+    if (copies > 1) {
+        stats_.replications.inc(copies - 1);
+        traceWorm(WormEvent::Replicate, now, pkt,
+                  static_cast<std::int32_t>(copies - 1));
+    }
+}
+
+bool
+SwitchBase::sendFlit(std::size_t p, int lane, const PacketPtr &pkt,
+                     int seq, Cycle now)
+{
+    OutPort &port = outs_[p];
+    if (port.failed) {
+        // Tombstone sink: swallow the flit at wire speed so the
+        // buffers behind it drain.
+        noteTombstone();
+        if (sim_)
+            sim_->noteProgress();
+        return true;
+    }
+    if (port.credits[static_cast<std::size_t>(lane)] < 1 ||
+        portThrottled(port, now))
+        return false;
+    const bool startRefused = seq == 0 && !canStartPacket(port, lane, *pkt);
+    if (port.out->busy(now)) {
+        // The physical link already carried another lane's flit this
+        // cycle; count the stall only if this lane was otherwise
+        // ready.
+        if (lanes() > 1 && !startRefused) {
+            stats_.laneStallCycles.inc();
+            traceWorm(WormEvent::LaneStall, now, *pkt,
+                      static_cast<std::int32_t>(p));
+        }
+        return false;
+    }
+    if (startRefused) {
+        stats_.reservationStallCycles.inc();
+        traceWorm(WormEvent::ReserveStall, now, *pkt,
+                  static_cast<std::int32_t>(p));
+        return false;
+    }
+    pushFlit(p, lane, pkt, seq, now);
+    if (sim_)
+        sim_->noteProgress();
+    if (seq + 1 == pkt->totalFlits())
+        traceWorm(WormEvent::TailDrain, now, *pkt,
+                  static_cast<std::int32_t>(p));
+    return true;
+}
+
+void
+SwitchBase::pushFlit(std::size_t p, int lane, const PacketPtr &pkt,
+                     int seq, Cycle now)
+{
+    OutPort &port = outs_[p];
+    port.out->send(Flit{pkt, seq, lane}, now);
+    --port.credits[static_cast<std::size_t>(lane)];
+    stats_.flitsOut.inc();
+    portTx_[p].inc();
+    laneTx_[laneIdx(p, lane)].inc();
+}
+
+bool
+SwitchBase::fifosEmpty() const
+{
+    for (const InputFifo &fifo : fifos_) {
+        if (!fifo.packets.empty())
+            return false;
+    }
+    return true;
+}
+
+void
+SwitchBase::sampleFifoOccupancy(Cycle now)
+{
+    if (lanes() == 1)
         return;
-    MDW_ASSERT(poisoned_ != nullptr,
-               "switch %d: unroutable destinations on an intact "
-               "network",
-               id_);
-    stats_.unroutableDests.inc(route.unroutable.count());
+    int occupied = 0;
+    for (const InputFifo &fifo : fifos_)
+        occupied += fifoFlits_ - fifo.freeSlots;
+    laneOcc_.update(static_cast<double>(occupied), now);
+}
+
+int
+SwitchBase::inputOccupancy(PortId port) const
+{
+    int occupied = 0;
+    for (int l = 0; l < lanes(); ++l)
+        occupied += fifoFlits_ -
+                    fifos_.at(laneIdx(static_cast<std::size_t>(port), l))
+                        .freeSlots;
+    return occupied;
 }
 
 bool
 SwitchBase::quiescent(std::string *why) const
 {
+    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+        const InputFifo &fifo = fifos_[i];
+        if (fifo.packets.empty() && fifo.freeSlots == fifoFlits_)
+            continue;
+        if (why) {
+            *why += name() + ": input " + std::to_string(i) +
+                    (fifo.packets.empty()
+                         ? " leaked " +
+                               std::to_string(fifoFlits_ -
+                                              fifo.freeSlots) +
+                               " FIFO slots; "
+                         : " buffers " +
+                               std::to_string(fifo.packets.size()) +
+                               " packets; ");
+        }
+        return false;
+    }
     for (std::size_t p = 0; p < outs_.size(); ++p) {
         const OutPort &out = outs_[p];
         if (!out.connected() || out.failed)
@@ -167,14 +395,6 @@ bool
 SwitchBase::outConnected(PortId port) const
 {
     return outs_.at(static_cast<std::size_t>(port)).connected();
-}
-
-void
-SwitchBase::notePortSend(std::size_t port, int lane)
-{
-    stats_.flitsOut.inc();
-    portTx_[port].inc();
-    laneTx_[laneIdx(port, lane)].inc();
 }
 
 void

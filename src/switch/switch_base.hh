@@ -2,13 +2,19 @@
  * @file
  * Common machinery shared by the two switch architectures: port
  * wiring, credit-based link flow control, the multidestination
- * whole-packet reservation rule, and per-switch statistics.
+ * whole-packet reservation rule, per-switch statistics, and the
+ * architecture-independent stages of the switch pipeline (input FIFO
+ * intake, header decode, upstream credit return and the per-flit
+ * link send). The architectures differ only in how they buffer a
+ * worm between decode and send.
  */
 
 #ifndef MDW_SWITCH_SWITCH_BASE_HH
 #define MDW_SWITCH_SWITCH_BASE_HH
 
+#include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -105,8 +111,10 @@ struct SwitchStats
 };
 
 /**
- * Base class: owns the port arrays and implements link-level credit
- * flow control. Concrete architectures implement step().
+ * Base class: owns the port arrays and the per-(port, lane) input
+ * FIFOs, implements link-level credit flow control and the shared
+ * pipeline stages. Concrete architectures implement step() as their
+ * buffer policy around those stages.
  */
 class SwitchBase : public Component
 {
@@ -116,9 +124,12 @@ class SwitchBase : public Component
      * @param id Switch id within the topology.
      * @param routing This switch's frozen routing state (not owned).
      * @param params Common parameters.
+     * @param fifoFlits Depth of each per-(port, lane) input FIFO, in
+     *        flits (the window advertised to the upstream sender).
      */
     SwitchBase(std::string name, SwitchId id,
-               const SwitchRouting *routing, const SwitchParams &params);
+               const SwitchRouting *routing, const SwitchParams &params,
+               int fifoFlits);
 
     /** Attach the receive side of port @p port. */
     void connectIn(PortId port, Channel<Flit> *in,
@@ -142,6 +153,9 @@ class SwitchBase : public Component
     /** Flits ever sent on output @p port (link utilization). */
     std::uint64_t portTxFlits(PortId port) const;
 
+    /** Flits buffered at input @p port, all lanes (tests). */
+    int inputOccupancy(PortId port) const;
+
     /**
      * Time-averaged flits buffered across the per-lane input storage
      * of this switch; sampled every step on multi-lane switches, flat
@@ -156,7 +170,9 @@ class SwitchBase : public Component
      * Swap in a replacement routing table (not owned; must outlive
      * the switch). Used by fault-aware rerouting: packets decoded
      * after the swap follow the new table, packets already branched
-     * keep their decisions (failed ports swallow those flits).
+     * keep their decisions (failed ports swallow those flits). Every
+     * held route is dropped, so a head still waiting for admission
+     * decodes again against the new table.
      */
     void setRouting(const SwitchRouting *routing);
 
@@ -199,8 +215,8 @@ class SwitchBase : public Component
     }
 
     /**
-     * End-of-run invariant: no buffered flits, no active streams, and
-     * every non-failed output's credits returned to their initial
+     * End-of-run invariant: empty input FIFOs with every slot free,
+     * and every non-failed output's credits returned to their initial
      * value. On failure returns false and appends a reason to @p why
      * (if given). Architectures extend this with their buffer checks.
      */
@@ -240,8 +256,86 @@ class SwitchBase : public Component
         bool connected() const { return out != nullptr; }
     };
 
+    /** One packet resident (possibly partially) in an input FIFO. */
+    struct PacketRecord
+    {
+        PacketPtr pkt;
+        int arrived = 0;
+    };
+
+    /**
+     * Per-(input port, lane) FIFO, laneIdx-flattened: each lane owns
+     * an independent FIFO of the full advertised window (the per-lane
+     * input storage of the multi-lane MIN model).
+     */
+    struct InputFifo
+    {
+        std::deque<PacketRecord> packets;
+        int freeSlots = 0;
+        /** Output lane the head packet was allocated at admission;
+         *  every replication branch uses it (branch-consistent lane
+         *  reservation). */
+        int outLane = 0;
+        /** The head's decoded route, held from decode until the
+         *  architecture admits the head (or setRouting drops it). */
+        std::optional<RouteDecision> route;
+    };
+
     /** Pull arrived credits on every output port (lane-demuxed). */
     void collectCredits(Cycle now);
+
+    /**
+     * Intake stage: move at most one arrived flit per input link into
+     * the FIFO of its lane. Flits still trickling in on a failed link
+     * are discarded.
+     */
+    void intake(Cycle now);
+
+    /** Complete packets cut off by a failed input link (fault). */
+    void fabricateFailedArrivals();
+
+    /**
+     * Decode stage for FIFO @p i: once the head's routing header has
+     * fully arrived, decode it against the current table — once per
+     * switch visit, the route being held until the architecture
+     * admits the head and clears InputFifo::route. Unroutable
+     * destinations are counted and dropped; a worm left with no
+     * routable destination is poisoned and counted as routed, and the
+     * architecture must drain it. Returns the held route, or null
+     * while no complete header waits.
+     */
+    const RouteDecision *decodeHead(std::size_t i, Cycle now);
+
+    /** Free @p n slots of FIFO @p i and return their credits to the
+     *  upstream sender. */
+    void returnCredits(std::size_t i, int n, Cycle now);
+
+    /** Count a routed packet and, when it is copied to @p copies > 1
+     *  output branches, its replications (traced as Replicate). */
+    void noteRouted(const PacketDesc &pkt, std::size_t copies, Cycle now);
+
+    /**
+     * Per-flit link send: try to move flit @p seq of @p pkt out of
+     * @p lane of output @p port this cycle. A failed port swallows
+     * the flit (tombstone sink). Otherwise the flit needs a lane
+     * credit, an unthrottled and idle link (a lane that loses the
+     * link to another lane counts a lane stall) and, for a head, the
+     * whole-packet start rule (a refusal counts a reservation stall).
+     * Returns true if the flit left the switch.
+     */
+    bool sendFlit(std::size_t port, int lane, const PacketPtr &pkt,
+                  int seq, Cycle now);
+
+    /** Put flit @p seq of @p pkt on @p lane of output @p port,
+     *  spending one credit (the caller checked the link). */
+    void pushFlit(std::size_t port, int lane, const PacketPtr &pkt,
+                  int seq, Cycle now);
+
+    /** True when every input FIFO is empty. */
+    bool fifosEmpty() const;
+
+    /** Sample the per-lane buffered-flit total (multi-lane only). */
+    void sampleFifoOccupancy(Cycle now);
 
     /** Lanes per link (== params.lanes, >= 1). */
     int lanes() const { return params_.lanes; }
@@ -278,23 +372,6 @@ class SwitchBase : public Component
      */
     int serviceLane(Cycle now, int slot) const;
 
-    /** Count a cycle in which @p lane of @p port was ready to send
-     *  but the physical link mux went to another lane. */
-    void
-    noteLaneStall(Cycle now, const PacketDesc &pkt, std::size_t port)
-    {
-        stats_.laneStallCycles.inc();
-        traceWorm(WormEvent::LaneStall, now, pkt,
-                  static_cast<std::int32_t>(port));
-    }
-
-    /** Sample the per-lane buffered-flit total (multi-lane only). */
-    void
-    sampleLaneOccupancy(double flits, Cycle now)
-    {
-        laneOcc_.update(flits, now);
-    }
-
     /**
      * Earliest in-flight arrival on any attached link: data flits on
      * the inputs (including failed ones, whose flits must still be
@@ -327,9 +404,6 @@ class SwitchBase : public Component
                         const PacketDesc &pkt, int lane,
                         const std::function<bool(PortId)> &freeOk) const;
 
-    /** Count one flit leaving through @p lane of @p port. */
-    void notePortSend(std::size_t port, int lane = 0);
-
     /**
      * True if @p port must skip sending this cycle: failed ports are
      * handled by the tombstone paths, degraded ports pace themselves.
@@ -349,13 +423,6 @@ class SwitchBase : public Component
             poisoned_->insert(pkt.id);
     }
 
-    /**
-     * Drop any destinations the (tolerant, post-fault) routing table
-     * reported unroutable; panics if unroutable destinations appear
-     * without fault tolerance (an intact network must route all).
-     */
-    void noteUnroutable(const RouteDecision &route);
-
     /** Record a worm lifecycle event at this switch (no-op unless
      *  tracing is enabled). */
     void
@@ -371,6 +438,10 @@ class SwitchBase : public Component
     SwitchParams params_;
     std::vector<InPort> ins_;
     std::vector<OutPort> outs_;
+    /** Input FIFO depth per (port, lane), in flits. */
+    int fifoFlits_;
+    /** laneIdx-flattened: (port, lane) for ports 0..radix. */
+    std::vector<InputFifo> fifos_;
     std::vector<Counter> portTx_;
     /** Per-(port, lane) tx flits, laneIdx-flattened; registered as
      *  metrics only on multi-lane switches. */

@@ -128,9 +128,8 @@ TEST(Config, ReadKeysDoNotWarn)
 
 TEST(Config, OutOfRangeLanesClampWithOneWarning)
 {
-    // An out-of-range switch.lanes= rides the same one-shot warning
-    // path as deprecated keys: clamp, warn on first sight, then stay
-    // silent for the rest of the process.
+    // An out-of-range switch.lanes= is clamped with a warning on
+    // first sight, then stays silent for the rest of the process.
     testing::internal::CaptureStderr();
     for (int i = 0; i < 2; ++i) {
         Config cli;

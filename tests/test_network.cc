@@ -132,7 +132,7 @@ TEST(NetworkBuilder, DeterministicAcrossIdenticalBuilds)
         traffic.mcastDegree = 4;
         traffic.stopCycle = 3000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
         net.sim().run(3000);
         net.sim().runUntil([&net] { return net.idle(); }, 200000);
         return net.tracker().mcastLastLatency().mean() +

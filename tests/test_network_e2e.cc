@@ -59,7 +59,7 @@ TEST_P(E2eMatrix, RandomTrafficDrainsWithoutDeadlock)
     traffic.seed = c.seed * 7 + 1;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(20000);
     net.sim().run(8000);
@@ -129,7 +129,7 @@ TEST(E2eIrregular, MulticastOnRandomNowDrains)
         traffic.seed = seed;
         traffic.stopCycle = 5000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(20000);
         net.sim().run(5000);
@@ -177,7 +177,7 @@ TEST_P(IrregularStress, SustainedLoadNeverWedges)
     traffic.seed = seed + 100;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(8000);
@@ -211,7 +211,7 @@ TEST(E2eStress, HighLoadBroadcastStormStaysCorrect)
     traffic.mcastDegree = 15; // broadcast
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);
@@ -248,7 +248,7 @@ TEST(E2eStress, TinyCentralQueueStillDeadlockFree)
     traffic.mcastDegree = 7;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -294,7 +294,7 @@ TEST_P(CopyConservation, DeliveriesEqualInjectionsPlusReplications)
     traffic.mcastFraction = 0.4;
     traffic.stopCycle = 5000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(5000);
@@ -337,7 +337,7 @@ TEST(E2eScale, LargeSystemSmokeTest)
     traffic.mcastDegree = 16;
     traffic.stopCycle = 2000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(2000);

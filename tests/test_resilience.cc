@@ -118,7 +118,7 @@ TEST(Resilience, LinkFailureMidMulticastRecoversViaRetransmission)
     traffic.seed = 9;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -422,7 +422,7 @@ TEST(Resilience, InputBufferArchitectureRecoversToo)
     traffic.seed = 9;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -468,7 +468,7 @@ TEST(Resilience, SoftwareSchemeRecoversLostCarriers)
     traffic.seed = 5;
     traffic.stopCycle = 4000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(4000);
@@ -591,7 +591,7 @@ TEST(Resilience, RetransmitTimersFireFromSleep)
         traffic.seed = 11;
         traffic.stopCycle = 2000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(50000);
         net.sim().run(2000);
@@ -869,7 +869,7 @@ TEST(Resilience, ResidualErrorsAreCaughtEndToEnd)
     traffic.seed = 13;
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);

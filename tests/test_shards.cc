@@ -291,7 +291,7 @@ TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
         traffic.post(0, n, spec);
     }
     for (NodeId n = 0; n < hosts; ++n)
-        net.nic(n).setTrafficSource(&traffic);
+        net.nic(n).setWorkload(&traffic);
     net.sim().run(5);
     ASSERT_TRUE(net.sim().runUntil([&] { return net.idle(); }, 50000));
 
@@ -366,7 +366,7 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
     spec.payloadFlits = 16;
     traffic.post(0, 0, spec);
     for (NodeId n = 0; n < static_cast<NodeId>(net.numHosts()); ++n)
-        net.nic(n).setTrafficSource(&traffic);
+        net.nic(n).setWorkload(&traffic);
     net.sim().run(5);
     ASSERT_TRUE(net.sim().runUntil([&] { return net.idle(); }, 20000));
     EXPECT_EQ(net.nic(static_cast<NodeId>(net.numHosts() - 1))

@@ -31,7 +31,7 @@ class ProbeSwitch : public SwitchBase
 {
   public:
     ProbeSwitch(const SwitchRouting *routing, const SwitchParams &params)
-        : SwitchBase("probe", 0, routing, params)
+        : SwitchBase("probe", 0, routing, params, 16)
     {
     }
 

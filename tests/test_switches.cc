@@ -4,6 +4,10 @@
  * single-switch and two-stage networks with scripted traffic.
  */
 
+#include <map>
+#include <memory>
+#include <unordered_set>
+
 #include <gtest/gtest.h>
 
 #include "core/presets.hh"
@@ -33,6 +37,55 @@ drain(Network &net, Cycle limit = 50000)
         net.sim().runUntil([&net] { return net.idle(); }, limit);
     EXPECT_TRUE(done) << "network failed to drain";
     return net.sim().now() - start;
+}
+
+/**
+ * A tolerant copy of @p routing in which host @p lost is unreachable,
+ * as fault-aware rerouting installs after losing that host's link.
+ */
+std::unique_ptr<SwitchRouting>
+tolerantWithout(const SwitchRouting &routing, NodeId lost,
+                std::size_t hosts)
+{
+    auto out = std::make_unique<SwitchRouting>(routing.radix(), hosts);
+    for (PortId p = 0; p < routing.radix(); ++p) {
+        out->setDir(p, routing.dir(p));
+        if (routing.dir(p) == PortDir::Down) {
+            DestSet reach = routing.downReach(p);
+            reach.clear(lost);
+            out->setDownReach(p, std::move(reach));
+        }
+    }
+    out->setTolerant(true);
+    out->freeze();
+    return out;
+}
+
+/** Decodes traced at switches, per packet. */
+std::map<PacketId, int>
+decodesPerPacket(const Network &net)
+{
+    std::map<PacketId, int> decodes;
+    for (const WormTraceEvent &e : net.traceSnapshot().events) {
+        if (e.kind == WormEvent::HeaderDecode && !e.atHost)
+            ++decodes[e.packet];
+    }
+    return decodes;
+}
+
+/**
+ * A central-buffer star whose queue admits one 66-flit multicast at a
+ * time, so when hosts 0 and 3 multicast together the second worm
+ * waits at chunk reservation.
+ */
+NetworkConfig
+tightQueueConfig()
+{
+    NetworkConfig config = starConfig(SwitchArch::CentralBuffer);
+    config.cb.cqChunks = 20;
+    config.maxPayloadFlits = 64;
+    config.telemetry.trace = true;
+    return config;
 }
 
 class BothArches : public ::testing::TestWithParam<SwitchArch>
@@ -111,6 +164,29 @@ TEST_P(BothArches, BackToBackPacketsArriveInOrder)
     drain(net);
     EXPECT_EQ(net.nic(3).stats().packetsDelivered.value(), 5u);
     EXPECT_EQ(net.tracker().totalCompleted(), 5u);
+}
+
+TEST_P(BothArches, WormWithNoRoutableDestinationCountsAsRouted)
+{
+    // Declared first: the switch keeps a pointer to the table.
+    std::unique_ptr<SwitchRouting> tolerant;
+    Network net(starConfig(GetParam()));
+    SwitchBase &sw = net.switchAt(0);
+    std::unordered_set<PacketId> poisoned;
+    sw.setPoisonRegistry(&poisoned);
+    tolerant = tolerantWithout(sw.routing(), 2, net.numHosts());
+    sw.setRouting(tolerant.get());
+
+    net.nic(0).postUnicast(2, 32, 0);
+    net.sim().run(500);
+    // The worm decodes to no branch: it is poisoned, swallowed at the
+    // switch, and counted as routed like any other decoded worm.
+    EXPECT_EQ(sw.stats().packetsRouted.value(), 1u);
+    EXPECT_EQ(sw.stats().unroutableDests.value(), 1u);
+    EXPECT_EQ(poisoned.size(), 1u);
+    EXPECT_EQ(net.nic(2).stats().packetsDelivered.value(), 0u);
+    std::string why;
+    EXPECT_TRUE(sw.quiescent(&why)) << why;
 }
 
 INSTANTIATE_TEST_SUITE_P(Arches, BothArches,
@@ -192,6 +268,54 @@ TEST(CentralBufferSwitch, MulticastWaitsForChunkReservation)
     EXPECT_GT(net.totals().reservationStallCycles, 0u);
 }
 
+TEST(CentralBufferSwitch, HeldMulticastDecodesOncePerVisit)
+{
+    Network net(tightQueueConfig());
+    net.nic(0).postMulticast(DestSet::of(4, {1, 2}), 64, 0);
+    net.nic(3).postMulticast(DestSet::of(4, {1, 2}), 64, 0);
+    drain(net);
+    EXPECT_EQ(net.tracker().totalDeliveries(), 4u);
+    EXPECT_GT(net.totals().reservationStallCycles, 1u);
+    // Each worm visits the one switch once, however long it waits.
+    const std::map<PacketId, int> decodes = decodesPerPacket(net);
+    EXPECT_EQ(decodes.size(), 2u);
+    for (const auto &[pkt, count] : decodes)
+        EXPECT_EQ(count, 1) << "packet " << pkt;
+}
+
+TEST(CentralBufferSwitch, RerouteReachesHeadWaitingForReservation)
+{
+    // Declared first: the switch keeps a pointer to the table.
+    std::unique_ptr<SwitchRouting> tolerant;
+    Network net(tightQueueConfig());
+    SwitchBase &sw = net.switchAt(0);
+    std::unordered_set<PacketId> poisoned;
+    sw.setPoisonRegistry(&poisoned);
+    tolerant = tolerantWithout(sw.routing(), 2, net.numHosts());
+
+    net.nic(0).postMulticast(DestSet::of(4, {1, 2}), 64, 0);
+    net.nic(3).postMulticast(DestSet::of(4, {1, 2}), 64, 0);
+    while (sw.stats().reservationStallCycles.value() == 0 &&
+           net.sim().now() < 5000)
+        net.sim().stepOne();
+    const std::uint64_t stalls = sw.stats().reservationStallCycles.value();
+    ASSERT_GT(stalls, 0u);
+    // Host 2 becomes unreachable while the second worm still waits.
+    sw.setRouting(tolerant.get());
+    net.sim().run(5000);
+
+    EXPECT_GT(sw.stats().reservationStallCycles.value(), stalls + 1);
+    // The waiting worm routes by the new table: its copy to host 2 is
+    // dropped (counted once, not per stall cycle), the first worm's
+    // branches were fixed before the swap.
+    EXPECT_EQ(sw.stats().unroutableDests.value(), 1u);
+    EXPECT_EQ(net.nic(1).stats().packetsDelivered.value(), 2u);
+    EXPECT_EQ(net.nic(2).stats().packetsDelivered.value(), 1u);
+    EXPECT_TRUE(poisoned.empty());
+    std::string why;
+    EXPECT_TRUE(sw.quiescent(&why)) << why;
+}
+
 TEST(InputBufferSwitch, HeadOfLineBlockingDelaysUnrelatedPacket)
 {
     // In the IB switch, a packet stuck at the buffer head blocks the
@@ -249,7 +373,7 @@ TEST(InputBufferSwitch, BufferHoldsWholeBlockedPacket)
     net.armWatchdog(5000);
     while (!net.idle() && net.sim().now() < 30000) {
         net.sim().stepOne();
-        peak = std::max(peak, ib->bufferOccupancy(0));
+        peak = std::max(peak, ib->inputOccupancy(0));
     }
     EXPECT_EQ(net.tracker().totalDeliveries(), 3u);
     // 64 payload + 2 unicast/3 mcast header flits: the full worm was
@@ -318,7 +442,7 @@ TEST(SyncReplication, RandomTrafficDrains)
         traffic.seed = seed;
         traffic.stopCycle = 6000;
         SyntheticTraffic source(net.numHosts(), traffic);
-        net.attachTraffic(&source);
+        net.attachWorkload(&source);
 
         net.armWatchdog(30000);
         net.sim().run(6000);

@@ -171,7 +171,7 @@ TEST_P(UniMinE2e, RandomTrafficDrains)
     traffic.mcastFraction = 0.3;
     traffic.stopCycle = 8000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(30000);
     net.sim().run(8000);
@@ -237,7 +237,7 @@ TEST(UniMinE2eSingle, BroadcastStormDrains)
     traffic.mcastDegree = 15;
     traffic.stopCycle = 3000;
     SyntheticTraffic source(net.numHosts(), traffic);
-    net.attachTraffic(&source);
+    net.attachWorkload(&source);
 
     net.armWatchdog(50000);
     net.sim().run(3000);
