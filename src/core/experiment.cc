@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "core/sweep.hh"
 #include "sim/logging.hh"
@@ -12,16 +14,93 @@ namespace mdw {
 
 namespace {
 
-/** Copy a sharded run's scheduler diagnostics into the result. */
-void
-captureShardStats(const Network &net, ExperimentResult &result)
+/**
+ * Everything a finished run records, shared by the open- and
+ * closed-loop paths. @p windowTx holds the flits each connected
+ * output port sent during the measurement window of @p window cycles.
+ * Every measurement, including the path-specific ones @p extra adds,
+ * is taken *before* the quiescence settle advances the clock: the
+ * snapshot reads live gauges (time averages, event totals) whose
+ * values depend on `now`, and the settle must not perturb any
+ * statistic. Returns the delivered load over the window.
+ */
+double
+captureRun(Network &net, ExperimentResult &result,
+           const std::vector<std::uint64_t> &windowTx, Cycle window,
+           const std::function<void()> &extra = nullptr)
 {
+    result.deadlocked = net.sim().deadlockDetected();
+    result.cyclesRun = net.sim().now();
+    result.metrics = net.metricsSnapshot();
+    result.metrics.setCounter("experiment.end_backlog_packets",
+                              net.totalTxBacklog());
+
+    const McastTracker &tracker = net.tracker();
+    const std::pair<const char *, const Histogram *> hists[] = {
+        {"unicast", &tracker.unicastHist()},
+        {"mcast_last", &tracker.mcastLastHist()}};
+    const std::pair<const char *, double> quantiles[] = {
+        {"p95", 0.95}, {"p99", 0.99}, {"p999", 0.999}};
+    for (const auto &[kind, hist] : hists) {
+        for (const auto &[tag, q] : quantiles)
+            result.metrics.setGauge(std::string("experiment.latency.") +
+                                        kind + "." + tag,
+                                    hist->percentile(q));
+    }
+
+    const double node_cycles = static_cast<double>(net.numHosts()) *
+                               static_cast<double>(window);
+    const double delivered_load =
+        node_cycles > 0.0
+            ? static_cast<double>(tracker.windowDeliveredFlits()) /
+                  node_cycles
+            : 0.0;
+    result.metrics.setGauge("experiment.delivered_load",
+                            delivered_load);
+
+    double mean_util = 0.0, peak_util = 0.0;
+    if (!windowTx.empty() && window > 0) {
+        double sum = 0.0;
+        for (const std::uint64_t flits : windowTx) {
+            const double util = static_cast<double>(flits) /
+                                static_cast<double>(window);
+            sum += util;
+            peak_util = std::max(peak_util, util);
+        }
+        mean_util = sum / static_cast<double>(windowTx.size());
+    }
+    result.metrics.setGauge("experiment.link_util.mean", mean_util);
+    result.metrics.setGauge("experiment.link_util.max", peak_util);
+    if (extra)
+        extra();
+
+    if (net.telemetry().tracer())
+        result.trace =
+            std::make_shared<const WormTrace>(net.traceSnapshot());
+
+    // Quiescence audit (a fault-free run must stay bit-identical with
+    // this in place).
+    if (result.drained && !result.deadlocked) {
+        // A drained network can still have credits on the wire at the
+        // cycle idleness was detected; give them a moment to land.
+        net.sim().runUntil(
+            [&net] { return net.checkQuiescent(nullptr); }, 4096);
+        std::string why;
+        result.quiescent = net.checkQuiescent(&why);
+        if (!result.quiescent)
+            warn("network not quiescent after drain: %s", why.c_str());
+    } else {
+        result.quiescent = false;
+    }
+
+    // A sharded run's scheduler diagnostics.
     result.effectiveShards = net.effectiveShards();
-    if (result.effectiveShards == 0)
-        return;
-    result.shardStats = net.shardStats();
-    for (std::uint32_t s = 0; s <= result.effectiveShards; ++s)
-        result.shardTotals.push_back(net.totalsForShard(s));
+    if (result.effectiveShards > 0) {
+        result.shardStats = net.shardStats();
+        for (std::uint32_t s = 0; s <= result.effectiveShards; ++s)
+            result.shardTotals.push_back(net.totalsForShard(s));
+    }
+    return delivered_load;
 }
 
 } // namespace
@@ -75,83 +154,20 @@ Experiment::run()
     net.sim().run(params_.warmup);
     const std::vector<std::uint64_t> tx_before = net.portTxSnapshot();
     net.sim().run(params_.measure);
-    const std::vector<std::uint64_t> tx_after = net.portTxSnapshot();
+    std::vector<std::uint64_t> window_tx = net.portTxSnapshot();
+    for (std::size_t i = 0; i < window_tx.size(); ++i)
+        window_tx[i] -= tx_before[i];
 
     // Drain: generation has stopped; let in-flight traffic land.
     result.drained = net.sim().runUntil(
         [&net] { return net.idle(); }, params_.drainLimit);
 
-    result.deadlocked = net.sim().deadlockDetected();
-    result.cyclesRun = net.sim().now();
-
-    // Every measurement is captured here, *before* the quiescence
-    // settle below advances the clock: the snapshot reads live gauges
-    // (time averages, event totals) whose values depend on `now`.
-    result.metrics = net.metricsSnapshot();
-    result.metrics.setCounter("experiment.end_backlog_packets",
-                              net.totalTxBacklog());
-
-    const McastTracker &tracker = net.tracker();
-    result.metrics.setGauge("experiment.latency.unicast.p95",
-                            tracker.unicastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.unicast.p99",
-                            tracker.unicastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.unicast.p999",
-                            tracker.unicastHist().percentile(0.999));
-    result.metrics.setGauge("experiment.latency.mcast_last.p95",
-                            tracker.mcastLastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.mcast_last.p99",
-                            tracker.mcastLastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.mcast_last.p999",
-                            tracker.mcastLastHist().percentile(0.999));
-
-    const double node_cycles = static_cast<double>(net.numHosts()) *
-                               static_cast<double>(params_.measure);
     const double delivered_load =
-        static_cast<double>(tracker.windowDeliveredFlits()) /
-        node_cycles;
-    result.metrics.setGauge("experiment.delivered_load",
-                            delivered_load);
+        captureRun(net, result, window_tx, params_.measure);
     result.saturated =
         result.deadlocked || !result.drained ||
         delivered_load <
             params_.saturationRatio * result.expectedDelivered;
-
-    double mean_util = 0.0, peak_util = 0.0;
-    if (!tx_before.empty() && params_.measure > 0) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < tx_before.size(); ++i) {
-            const double util =
-                static_cast<double>(tx_after[i] - tx_before[i]) /
-                static_cast<double>(params_.measure);
-            sum += util;
-            peak_util = std::max(peak_util, util);
-        }
-        mean_util = sum / static_cast<double>(tx_before.size());
-    }
-    result.metrics.setGauge("experiment.link_util.mean", mean_util);
-    result.metrics.setGauge("experiment.link_util.max", peak_util);
-
-    if (net.telemetry().tracer())
-        result.trace =
-            std::make_shared<const WormTrace>(net.traceSnapshot());
-
-    // Quiescence audit, *after* every measurement above is captured:
-    // the settle cycles it may add must not perturb any statistic
-    // (a fault-free run must stay bit-identical with this in place).
-    if (result.drained && !result.deadlocked) {
-        // A drained network can still have credits on the wire at the
-        // cycle idleness was detected; give them a moment to land.
-        net.sim().runUntil(
-            [&net] { return net.checkQuiescent(nullptr); }, 4096);
-        std::string why;
-        result.quiescent = net.checkQuiescent(&why);
-        if (!result.quiescent)
-            warn("network not quiescent after drain: %s", why.c_str());
-    } else {
-        result.quiescent = false;
-    }
-    captureShardStats(net, result);
     return result;
 }
 
@@ -195,89 +211,28 @@ Experiment::runClosedLoop(Network &net)
     result.drained = net.sim().runUntil(
         [&net, w] { return w->exhausted() && net.idle(); },
         params_.drainLimit);
-    result.deadlocked = net.sim().deadlockDetected();
-    result.cyclesRun = net.sim().now();
-
-    // As in the open-loop path: capture everything *before* the
-    // quiescence settle advances the clock.
-    result.metrics = net.metricsSnapshot();
-    result.metrics.setCounter("experiment.end_backlog_packets",
-                              net.totalTxBacklog());
-
-    const McastTracker &tracker = net.tracker();
-    result.metrics.setGauge("experiment.latency.unicast.p95",
-                            tracker.unicastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.unicast.p99",
-                            tracker.unicastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.unicast.p999",
-                            tracker.unicastHist().percentile(0.999));
-    result.metrics.setGauge("experiment.latency.mcast_last.p95",
-                            tracker.mcastLastHist().percentile(0.95));
-    result.metrics.setGauge("experiment.latency.mcast_last.p99",
-                            tracker.mcastLastHist().percentile(0.99));
-    result.metrics.setGauge("experiment.latency.mcast_last.p999",
-                            tracker.mcastLastHist().percentile(0.999));
-
-    const double node_cycles =
-        static_cast<double>(net.numHosts()) *
-        static_cast<double>(result.cyclesRun);
-    result.metrics.setGauge(
-        "experiment.delivered_load",
-        node_cycles > 0.0
-            ? static_cast<double>(tracker.windowDeliveredFlits()) /
-                  node_cycles
-            : 0.0);
-    result.saturated = result.deadlocked || !result.drained;
-
-    // Whole-run link utilization (no measurement sub-window).
-    const std::vector<std::uint64_t> tx = net.portTxSnapshot();
-    double mean_util = 0.0, peak_util = 0.0;
-    if (!tx.empty() && result.cyclesRun > 0) {
-        double sum = 0.0;
-        for (const std::uint64_t flits : tx) {
-            const double util =
-                static_cast<double>(flits) /
-                static_cast<double>(result.cyclesRun);
-            sum += util;
-            peak_util = std::max(peak_util, util);
+    // Whole-run link utilization (no measurement sub-window; the port
+    // counters started at zero).
+    captureRun(net, result, net.portTxSnapshot(), net.sim().now(), [&] {
+        // Closed-loop accounting: on a drained run every injected
+        // message retired (posted == completed + partial), which
+        // validate_report cross-checks from the report stream.
+        const McastTracker &tracker = net.tracker();
+        result.metrics.setCounter(
+            "workload.posted",
+            result.metrics.sumCounters("messages_posted"));
+        result.metrics.setCounter("workload.completed",
+                                  tracker.totalCompleted());
+        result.metrics.setCounter("workload.partial",
+                                  tracker.partialCompleted());
+        if (kernels != nullptr) {
+            result.metrics.setSampler("workload.round_cycles",
+                                      kernels->roundCycles());
+            result.metrics.setCounter("workload.rounds",
+                                      kernels->roundsCompleted());
         }
-        mean_util = sum / static_cast<double>(tx.size());
-    }
-    result.metrics.setGauge("experiment.link_util.mean", mean_util);
-    result.metrics.setGauge("experiment.link_util.max", peak_util);
-
-    // Closed-loop accounting: on a drained run every injected message
-    // retired (posted == completed + partial), which validate_report
-    // cross-checks from the report stream.
-    result.metrics.setCounter(
-        "workload.posted",
-        result.metrics.sumCounters("messages_posted"));
-    result.metrics.setCounter("workload.completed",
-                              tracker.totalCompleted());
-    result.metrics.setCounter("workload.partial",
-                              tracker.partialCompleted());
-    if (kernels != nullptr) {
-        result.metrics.setSampler("workload.round_cycles",
-                                  kernels->roundCycles());
-        result.metrics.setCounter("workload.rounds",
-                                  kernels->roundsCompleted());
-    }
-
-    if (net.telemetry().tracer())
-        result.trace =
-            std::make_shared<const WormTrace>(net.traceSnapshot());
-
-    if (result.drained && !result.deadlocked) {
-        net.sim().runUntil(
-            [&net] { return net.checkQuiescent(nullptr); }, 4096);
-        std::string why;
-        result.quiescent = net.checkQuiescent(&why);
-        if (!result.quiescent)
-            warn("network not quiescent after drain: %s", why.c_str());
-    } else {
-        result.quiescent = false;
-    }
-    captureShardStats(net, result);
+    });
+    result.saturated = result.deadlocked || !result.drained;
     // The workload dies with this scope; the network must not retain
     // hooks into it.
     net.detachWorkload();

@@ -4,8 +4,32 @@
 #include <cstdlib>
 
 #include "core/resilience.hh"
+#include "sim/config.hh"
 
 namespace mdw {
+
+namespace {
+
+/**
+ * Read environment override @p name as a plain decimal unsigned
+ * integer into @p value. Returns false (leaving @p value alone) when
+ * the variable is unset or malformed.
+ */
+bool
+envOverride(const char *name, unsigned long &value)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return false;
+    char *end = nullptr;
+    const unsigned long v = std::strtoul(env, &end, 10);
+    if (end == env || *end != '\0')
+        return false;
+    value = v;
+    return true;
+}
+
+} // namespace
 
 const char *
 toString(TopologyKind kind)
@@ -41,16 +65,12 @@ Network::Network(const NetworkConfig &config)
     registerTelemetry();
     installFaults();
 
-    bool fast = cfg_.fastPath;
     // Environment escape hatch, e.g. for re-running a whole test
     // suite against the cycle-accurate oracle: MDW_FAST_PATH=0|1.
-    if (const char *env = std::getenv("MDW_FAST_PATH")) {
-        if (env[0] == '0' && env[1] == '\0')
-            fast = false;
-        else if (env[0] == '1' && env[1] == '\0')
-            fast = true;
-    }
-    sim_.setFastPath(fast);
+    unsigned long fast = 0;
+    if (envOverride("MDW_FAST_PATH", fast) && fast <= 1)
+        cfg_.fastPath = fast == 1;
+    sim_.setFastPath(cfg_.fastPath);
     setupSharding();
 }
 
@@ -334,13 +354,11 @@ Network::build()
     // --- Virtual lanes ----------------------------------------------
     // Environment escape hatch for running a whole test suite under a
     // different lane count (e.g. MDW_LANES=4 in CI); mirrors the
-    // MDW_SHARDS / MDW_FAST_PATH overrides.
-    if (const char *env = std::getenv("MDW_LANES")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            cfg_.sw.lanes = static_cast<int>(v);
-    }
+    // MDW_SHARDS / MDW_FAST_PATH overrides, clamped like switch.lanes.
+    unsigned long lanes = 0;
+    if (envOverride("MDW_LANES", lanes))
+        cfg_.sw.lanes = clampWarnOnce(
+            "MDW_LANES", static_cast<std::int64_t>(lanes), 1, kMaxLanes);
     // NICs must agree with the switches on the lane count: credits
     // and reassembly state are per lane on both sides of a host link.
     cfg_.nic.lanes = cfg_.sw.lanes;
@@ -453,33 +471,19 @@ Network::wire()
 void
 Network::setupSharding()
 {
-    std::size_t shards = cfg_.shards;
-    if (const char *env = std::getenv("MDW_SHARDS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0')
-            shards = static_cast<std::size_t>(v);
-    }
-    unsigned threads = cfg_.shardThreads;
-    if (const char *env = std::getenv("MDW_SHARD_THREADS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0')
-            threads = static_cast<unsigned>(v);
-    }
-    cfg_.shards = shards;
-    cfg_.shardThreads = threads;
+    unsigned long env = 0;
+    if (envOverride("MDW_SHARDS", env))
+        cfg_.shards = static_cast<std::size_t>(env);
+    if (envOverride("MDW_SHARD_THREADS", env))
+        cfg_.shardThreads = static_cast<unsigned>(env);
+    const std::size_t shards = cfg_.shards;
     if (shards <= 1)
         return;
     // Subsystems whose switch-step or channel behavior reaches shared
     // state (ARQ link hooks resolve arrivals with shared RNGs; the
     // resilience layer mutates routing; retransmission needs the
-    // tracker's dedup on paths sharding would reorder) force the flat
-    // fast path. Results are identical either way.
-    if (!sim_.fastPath()) {
-        serialReason_ = "fast path disabled";
-        return;
-    }
+    // tracker's dedup on paths sharding would reorder) force a flat
+    // run. Results are identical either way.
     if (resilience_ != nullptr || tracker_.resilient()) {
         serialReason_ = "fault/resilience subsystem configured";
         return;
@@ -517,7 +521,7 @@ Network::setupSharding()
     }
     if (telemetry_.tracer() != nullptr)
         telemetry_.tracer()->setShards(shards);
-    sim_.setSharding(std::move(shardOf), shards, threads);
+    sim_.setSharding(std::move(shardOf), shards, cfg_.shardThreads);
     effectiveShards_ = shards;
 }
 
@@ -527,7 +531,8 @@ Network::requireSerial(const std::string &why)
     serialReason_ = why;
     if (effectiveShards_ == 0)
         return;
-    sim_.clearSharding();
+    sim_.setSharding(
+        std::vector<std::uint32_t>(sim_.componentCount(), 0), 0, 0);
     for (Channel<Flit> *ch : boundaryFlit_)
         ch->setBoundary(nullptr, 0);
     for (CreditChannel *ch : boundaryCredit_)
@@ -790,30 +795,14 @@ Network::checkQuiescent(std::string *why) const
 }
 
 NetworkTotals
-Network::totalsForShard(std::uint32_t shard) const
+Network::totalsForShard(std::optional<std::uint32_t> shard) const
 {
     NetworkTotals totals;
     for (std::size_t s = 0; s < switches_.size(); ++s) {
-        if (effectiveShards_ == 0 ||
-            shardPlan_.switchShard[s] != shard)
+        if (shard && (effectiveShards_ == 0 ||
+                      shardPlan_.switchShard[s] != *shard))
             continue;
         const SwitchStats &stats = switches_[s]->stats();
-        totals.flitsIn += stats.flitsIn.value();
-        totals.flitsOut += stats.flitsOut.value();
-        totals.packetsRouted += stats.packetsRouted.value();
-        totals.replications += stats.replications.value();
-        totals.reservationStallCycles +=
-            stats.reservationStallCycles.value();
-    }
-    return totals;
-}
-
-NetworkTotals
-Network::totals() const
-{
-    NetworkTotals totals;
-    for (const auto &sw : switches_) {
-        const SwitchStats &stats = sw->stats();
         totals.flitsIn += stats.flitsIn.value();
         totals.flitsOut += stats.flitsOut.value();
         totals.packetsRouted += stats.packetsRouted.value();

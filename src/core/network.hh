@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,8 @@ struct NetworkConfig
      * MDW_SHARDS in the environment overrides). The fabric's switches
      * are partitioned over the shards and stepped concurrently, with
      * cross-shard channels buffered through deterministic boundary
-     * mailboxes; results are bit-identical to the flat schedulers for
-     * any shard/thread count. Requires the fast path; silently runs
+     * mailboxes; results are bit-identical to a flat run for any
+     * shard/thread count, with idle-skipping on or off. Silently runs
      * flat when a serial-only subsystem (faults, link ARQ, hardware
      * barriers) is configured — see Network::serialReason().
      */
@@ -251,10 +252,12 @@ class Network
     bool checkQuiescent(std::string *why) const;
 
     /** Sum all switches' counters. */
-    NetworkTotals totals() const;
+    NetworkTotals totals() const { return totalsForShard(std::nullopt); }
 
-    /** Sum the counters of the switches assigned to @p shard. */
-    NetworkTotals totalsForShard(std::uint32_t shard) const;
+    /** Sum the counters of the switches assigned to @p shard (of every
+     *  switch when nullopt). */
+    NetworkTotals
+    totalsForShard(std::optional<std::uint32_t> shard) const;
 
     /**
      * Parallel shards actually in use (0 = running flat, either

@@ -1,34 +1,17 @@
 #include "core/presets.hh"
 
-#include <algorithm>
-#include <set>
-
 #include "sim/logging.hh"
 
 namespace mdw {
 
 namespace {
 
-/**
- * Read an integer key and clamp it into [lo, hi], warning once per
- * key per process when the configured value is out of range.
- */
+/** Read an integer key and clamp it into [lo, hi] (clampWarnOnce). */
 int
 clampedInt(const Config &config, const char *key, int dflt, int lo,
            int hi)
 {
-    const std::int64_t raw = config.getInt(key, dflt);
-    const std::int64_t clamped =
-        std::min<std::int64_t>(std::max<std::int64_t>(raw, lo), hi);
-    if (clamped != raw) {
-        static std::set<std::string> warned;
-        if (warned.insert(key).second)
-            warn("config key '%s' value %lld out of range [%d, %d]; "
-                 "clamping to %lld",
-                 key, static_cast<long long>(raw), lo, hi,
-                 static_cast<long long>(clamped));
-    }
-    return static_cast<int>(clamped);
+    return clampWarnOnce(key, config.getInt(key, dflt), lo, hi);
 }
 
 } // namespace

@@ -18,7 +18,7 @@ CreditChannel::send(int count, Cycle now, int lane)
                name_.c_str(), lane);
     const Cycle ready = now + delay_;
     totalSends_ += static_cast<std::uint64_t>(count);
-    if (boundary_) {
+    if (boundary()) {
         // inFlight_ is charged at the barrier flush, not here: the
         // sink's shard decrements it in receive(), so the sending
         // shard must not touch it mid-phase (the two run
@@ -30,10 +30,7 @@ CreditChannel::send(int count, Cycle now, int lane)
         } else {
             pending_.push_back(Entry{ready, count, lane});
         }
-        if (!dirty_) {
-            dirty_ = true;
-            registrar_->boundaryDirty(srcShard_, this);
-        }
+        noteBuffered();
         return;
     }
     inFlight_ += count;
@@ -47,23 +44,11 @@ CreditChannel::send(int count, Cycle now, int lane)
         sink_->requestWake(ready);
 }
 
-void
-CreditChannel::setBoundary(BoundaryRegistrar *registrar,
-                           std::uint32_t srcShard)
-{
-    MDW_ASSERT(pending_.empty(),
-               "credit channel %s: mode change with buffered grants",
-               name_.c_str());
-    registrar_ = registrar;
-    srcShard_ = srcShard;
-    boundary_ = registrar != nullptr;
-}
-
 std::size_t
 CreditChannel::flushBoundary()
 {
     const std::size_t moved = pending_.size();
-    dirty_ = false;
+    noteFlushed();
     if (moved == 0)
         return 0;
     const Cycle first = pending_.front().ready;

@@ -104,12 +104,9 @@ class Channel : public BoundaryChannel
                        "channel %s: hook broke FIFO arrival order",
                        name_.c_str());
         }
-        if (boundary_) {
+        if (boundary()) {
             pending_.push_back(Entry{arrival, std::move(item)});
-            if (!dirty_) {
-                dirty_ = true;
-                registrar_->boundaryDirty(srcShard_, this);
-            }
+            noteBuffered();
             return;
         }
         queue_.push_back(Entry{arrival, std::move(item)});
@@ -117,23 +114,14 @@ class Channel : public BoundaryChannel
             sink_->requestWake(arrival);
     }
 
-    /**
-     * Switch the channel into boundary mode (see class comment);
-     * @p srcShard is the sending component's shard. Pass null to
-     * revert to direct delivery. Incompatible with a link-layer hook.
-     */
+    /** BoundaryChannel::setBoundary; incompatible with a link hook. */
     void
     setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard)
     {
         MDW_ASSERT(registrar == nullptr || hook_ == nullptr,
                    "channel %s: boundary mode with a link hook",
                    name_.c_str());
-        MDW_ASSERT(pending_.empty(),
-                   "channel %s: mode change with buffered sends",
-                   name_.c_str());
-        registrar_ = registrar;
-        srcShard_ = srcShard;
-        boundary_ = registrar != nullptr;
+        BoundaryChannel::setBoundary(registrar, srcShard);
     }
 
     // BoundaryChannel: barrier drain (main thread; the sending shard
@@ -142,7 +130,7 @@ class Channel : public BoundaryChannel
     flushBoundary() override
     {
         const std::size_t moved = pending_.size();
-        dirty_ = false;
+        noteFlushed();
         if (moved == 0)
             return 0;
         // One wake at the earliest arrival suffices: once awake, the
@@ -163,7 +151,7 @@ class Channel : public BoundaryChannel
     void
     setHook(ChannelHook<T> *hook)
     {
-        MDW_ASSERT(hook == nullptr || !boundary_,
+        MDW_ASSERT(hook == nullptr || !boundary(),
                    "channel %s: link hook in boundary mode",
                    name_.c_str());
         hook_ = hook;
@@ -249,10 +237,6 @@ class Channel : public BoundaryChannel
     // Boundary mode: mailbox written only by the sending shard's
     // thread, drained only at the barrier.
     std::vector<Entry> pending_;
-    BoundaryRegistrar *registrar_ = nullptr;
-    std::uint32_t srcShard_ = 0;
-    bool boundary_ = false;
-    bool dirty_ = false;
 };
 
 /**
@@ -282,10 +266,6 @@ class CreditChannel : public BoundaryChannel
      * every lane the sender grants on. Returns the total collected.
      */
     int receiveByLane(Cycle now, std::vector<int> &laneCounts);
-
-    /** Switch to boundary mode (see Channel); null reverts. */
-    void setBoundary(BoundaryRegistrar *registrar,
-                     std::uint32_t srcShard);
 
     // BoundaryChannel: barrier drain (main thread).
     std::size_t flushBoundary() override;
@@ -326,10 +306,6 @@ class CreditChannel : public BoundaryChannel
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
     std::vector<Entry> pending_;
-    BoundaryRegistrar *registrar_ = nullptr;
-    std::uint32_t srcShard_ = 0;
-    bool boundary_ = false;
-    bool dirty_ = false;
 };
 
 } // namespace mdw

@@ -1,6 +1,8 @@
 #include "sim/config.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 
 #include "sim/logging.hh"
@@ -22,6 +24,24 @@ warnUnreadOnce(const std::string &key)
 }
 
 } // namespace
+
+int
+clampWarnOnce(const char *key, std::int64_t raw, int lo, int hi)
+{
+    const std::int64_t clamped =
+        std::min<std::int64_t>(std::max<std::int64_t>(raw, lo), hi);
+    if (clamped != raw) {
+        static std::mutex mutex;
+        static std::set<std::string> warned;
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (warned.insert(key).second)
+            warn("'%s' value %lld out of range [%d, %d]; clamping to "
+                 "%lld",
+                 key, static_cast<long long>(raw), lo, hi,
+                 static_cast<long long>(clamped));
+    }
+    return static_cast<int>(clamped);
+}
 
 Config::~Config()
 {

@@ -17,6 +17,13 @@
 
 namespace mdw {
 
+/**
+ * Clamp @p raw into [lo, hi], warning once per @p key per process
+ * (thread-safe) when it was out of range. Shared by config keys and
+ * environment overrides that take the same range.
+ */
+int clampWarnOnce(const char *key, std::int64_t raw, int lo, int hi);
+
 /** String-keyed configuration with typed accessors. */
 class Config
 {

@@ -33,7 +33,7 @@ void
 Simulator::add(Component *component)
 {
     MDW_ASSERT(component != nullptr, "registering null component");
-    MDW_ASSERT(!buckets_[0].stepping,
+    MDW_ASSERT(!buckets_.back().stepping,
                "registering a component mid-cycle");
     component->attach(this);
     component->simIndex_ = components_.size();
@@ -45,68 +45,37 @@ Simulator::add(Component *component)
     // Late registrations (engines, test components) go to the serial
     // bucket: only the network's construction-time partition may put
     // a component in a parallel shard.
-    const std::uint32_t bucket =
-        sharded_ ? static_cast<std::uint32_t>(buckets_.size() - 1)
-                 : 0u;
-    bucketOf_.push_back(bucket);
-    ++buckets_[bucket].size;
-    if (fastPath_)
-        buckets_[bucket].runList.push_back(component->simIndex_);
+    Bucket &serial = buckets_.back();
+    bucketOf_.push_back(static_cast<std::uint32_t>(buckets_.size() - 1));
+    ++serial.size;
+    serial.runList.push_back(component->simIndex_);
 }
 
 void
 Simulator::setFastPath(bool on)
 {
-    stopPool();
-    sharded_ = false;
     fastPath_ = on;
-    buckets_.clear();
-    buckets_.emplace_back();
-    Bucket &bucket = buckets_[0];
-    bucket.size = components_.size();
-    bucketOf_.assign(components_.size(), 0);
-    std::fill(wakeAt_.begin(), wakeAt_.end(), kNoCycle);
-    std::fill(retireCheckAt_.begin(), retireCheckAt_.end(), Cycle{0});
-    std::fill(busyStreak_.begin(), busyStreak_.end(),
-              std::uint8_t{0});
-    for (Component *c : components_)
-        c->schedActive_ = 1;
-    if (fastPath_) {
-        bucket.runList.reserve(components_.size());
-        for (std::size_t i = 0; i < components_.size(); ++i)
-            bucket.runList.push_back(i);
-    }
+    resetTickSets();
 }
 
 void
 Simulator::setSharding(std::vector<std::uint32_t> shardOf,
                        std::size_t parallelShards, unsigned threads)
 {
-    MDW_ASSERT(fastPath_,
-               "sharding requires the idle-skipping fast path");
     MDW_ASSERT(shardOf.size() == components_.size(),
                "shard map covers %zu of %zu components",
                shardOf.size(), components_.size());
-    MDW_ASSERT(parallelShards >= 1, "need at least one shard");
     stopPool();
     bucketOf_ = std::move(shardOf);
-    buckets_.clear();
-    buckets_.resize(parallelShards + 1);
-    std::fill(wakeAt_.begin(), wakeAt_.end(), kNoCycle);
-    std::fill(retireCheckAt_.begin(), retireCheckAt_.end(), Cycle{0});
-    std::fill(busyStreak_.begin(), busyStreak_.end(),
-              std::uint8_t{0});
-    for (std::size_t i = 0; i < components_.size(); ++i) {
-        const std::uint32_t bucket = bucketOf_[i];
-        MDW_ASSERT(bucket <= parallelShards,
+    buckets_.assign(parallelShards + 1, Bucket{});
+    for (std::size_t i = 0; i < bucketOf_.size(); ++i) {
+        MDW_ASSERT(bucketOf_[i] <= parallelShards,
                    "component %zu mapped to shard %u of %zu", i,
-                   bucket, parallelShards);
-        components_[i]->schedActive_ = 1;
-        ++buckets_[bucket].size;
-        buckets_[bucket].runList.push_back(i);
+                   bucketOf_[i], parallelShards);
+        ++buckets_[bucketOf_[i]].size;
     }
     shardProgress_.assign(parallelShards, 0);
-    sharded_ = true;
+    resetTickSets();
     unsigned workers = threads;
     if (workers == 0) {
         workers = std::thread::hardware_concurrency();
@@ -123,18 +92,28 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
 }
 
 void
-Simulator::clearSharding()
+Simulator::resetTickSets()
 {
-    if (!sharded_)
-        return;
-    setFastPath(fastPath_);
+    for (Bucket &bucket : buckets_) {
+        bucket.runList.clear();
+        bucket.wakeHeap.clear();
+        bucket.retireAt = 0;
+    }
+    std::fill(wakeAt_.begin(), wakeAt_.end(), kNoCycle);
+    std::fill(retireCheckAt_.begin(), retireCheckAt_.end(), Cycle{0});
+    std::fill(busyStreak_.begin(), busyStreak_.end(),
+              std::uint8_t{0});
+    for (std::size_t i = 0; i < components_.size(); ++i) {
+        components_[i]->schedActive_ = 1;
+        buckets_[bucketOf_[i]].runList.push_back(i);
+    }
 }
 
 std::vector<ShardStat>
 Simulator::shardStats() const
 {
     std::vector<ShardStat> stats;
-    if (!sharded_)
+    if (shards() == 0)
         return stats;
     stats.reserve(buckets_.size());
     for (const Bucket &bucket : buckets_) {
@@ -302,28 +281,25 @@ Simulator::stepBucket(std::size_t b)
 {
     Bucket &bucket = buckets_[b];
     bucket.stepping = true;
-    if (!sharded_ && bucket.runList.size() == components_.size()) {
-        // Saturated tick set (the common contended state): the sorted
-        // run list is exactly 0..N-1, so traverse components_
-        // directly — the same loop as the cycle path, without the
-        // per-step indirection and bounds check. Nothing can be
-        // activated mid-step because everything already is.
+    if (bucket.runList.size() == components_.size()) {
+        // Saturated tick set (every cycle with idle-skipping off, and
+        // the common contended state with it on): the bucket holds
+        // every component, so its sorted run list is exactly 0..N-1.
+        // Traverse components_ directly, without the per-step
+        // indirection and bounds check. Nothing can be activated
+        // mid-step because everything already is.
         bucket.cursor = bucket.runList.size();
         for (Component *c : components_)
             c->step(now_);
-        bucket.stepping = false;
-        return;
-    }
-    bucket.cursor = 0;
-    // steps feeds the per-shard stats only; skip the counter on the
-    // (hotter) unsharded path.
-    const bool count = sharded_;
-    while (bucket.cursor < bucket.runList.size()) {
-        Component *c = components_[bucket.runList[bucket.cursor]];
-        ++bucket.cursor;
-        c->step(now_);
-        if (count)
+        bucket.steps += components_.size();
+    } else {
+        bucket.cursor = 0;
+        while (bucket.cursor < bucket.runList.size()) {
+            Component *c = components_[bucket.runList[bucket.cursor]];
+            ++bucket.cursor;
+            c->step(now_);
             ++bucket.steps;
+        }
     }
     bucket.stepping = false;
 }
@@ -448,48 +424,27 @@ Simulator::stopPool()
 }
 
 void
-Simulator::stepOneSharded()
+Simulator::stepOne()
 {
     const std::size_t serial = buckets_.size() - 1;
-    for (std::size_t b = 0; b < buckets_.size(); ++b)
+    for (std::size_t b = 0; b <= serial; ++b)
         wakeDue(b);
     events_.runDue(now_);
     runParallelPhase(0);
-    for (std::size_t s = 0; s < serial; ++s) {
-        if (shardProgress_[s]) {
-            shardProgress_[s] = 0;
+    for (char &progress : shardProgress_) {
+        if (progress) {
+            progress = 0;
             lastProgress_ = now_;
         }
     }
     flushBoundaries();
     stepBucket(serial);
-    runParallelPhase(1);
-    retireIdle(serial);
+    if (fastPath_) {
+        runParallelPhase(1);
+        retireIdle(serial);
+    }
     checkWatchdog();
     ++now_;
-}
-
-void
-Simulator::stepOne()
-{
-    if (fastPath_) {
-        if (sharded_) {
-            stepOneSharded();
-        } else {
-            wakeDue(0);
-            events_.runDue(now_);
-            stepBucket(0);
-            retireIdle(0);
-            checkWatchdog();
-            ++now_;
-        }
-    } else {
-        events_.runDue(now_);
-        for (Component *c : components_)
-            c->step(now_);
-        checkWatchdog();
-        ++now_;
-    }
 }
 
 std::size_t

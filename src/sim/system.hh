@@ -23,7 +23,7 @@
 
 namespace mdw {
 
-/** Per-shard execution statistics (sharded scheduler only). */
+/** Per-shard execution statistics (sharded runs only). */
 struct ShardStat
 {
     /** Components assigned to the shard. */
@@ -48,48 +48,52 @@ struct ShardStat
  * there is pending work but no progress for a configurable number of
  * cycles.
  *
- * Two scheduling modes produce bit-identical results:
+ * The components live in buckets: 0..N parallel shards plus one
+ * serial bucket (unsharded, the serial bucket holds everything). One
+ * loop, stepOne(), runs every cycle over the buckets:
  *
- *  - Cycle path (default): every registered component is stepped on
- *    every cycle, unconditionally. This is the oracle.
- *  - Fast path (setFastPath(true)): components that report no work
- *    via Component::nextWork() are retired from the tick set and
- *    re-activated by a wake heap (self-scheduled wakes and
- *    requestWake() pushes from channels and peers). When the tick set
- *    is empty the clock jumps straight to the next activity --
- *    earliest wake, earliest event, run limit, or the cycle at which
- *    the watchdog would trip -- so uncontended stretches cost O(1)
- *    instead of O(components * cycles).
- *
- * On top of the fast path, setSharding() partitions the tick set into
- * parallel shards plus one serial bucket, and each cycle becomes a
- * three-phase barrier-synchronized sweep:
- *
- *  1. parallel phase: shard workers step their shard's active
+ *  1. pending wakes that are due join their bucket's tick set;
+ *  2. due events fire;
+ *  3. parallel phase: shard workers step their shard's ticking
  *     components (in registration order within the shard). Only
  *     components whose step() touches nothing but its own state, its
  *     channels, the tracer, and noteProgress() may live in a parallel
  *     shard (the network puts switches there). Channels that cross a
  *     shard boundary run in boundary mode: sends are buffered into
- *     per-channel mailboxes.
- *  2. barrier: the main thread folds per-shard progress flags and
+ *     per-channel mailboxes;
+ *  4. barrier: the main thread folds per-shard progress flags and
  *     drains the boundary mailboxes in deterministic (src-shard,
  *     dirty-registration) order. Because every channel imposes >= 1
  *     cycle of delay, nothing sent at cycle t is observable before
- *     t + 1, so the deferred queue pushes are invisible to results.
- *  3. serial phase: everything else (NICs, engines, test components)
- *     is stepped by the main thread in registration order — exactly
- *     the order the flat scheduler used, so tracker/workload hook
- *     sequences are reproduced verbatim.
+ *     t + 1, so the deferred queue pushes are invisible to results;
+ *  5. serial phase: everything else (NICs, engines, test components)
+ *     is stepped by the main thread in registration order, so
+ *     tracker/workload hook sequences are reproduced verbatim;
+ *  6. retire passes (idle-skipping only), per shard then serial;
+ *  7. the watchdog check;
+ *  8. the clock advances.
  *
- * The retire pass then runs per shard (parallel again), the watchdog
- * is checked, and the clock advances. Results are bit-identical to
- * the flat schedulers for any shard/thread count.
+ * Two independent properties shape the loop, and every combination
+ * produces bit-identical results:
+ *
+ *  - Idle-skipping (setFastPath(true)): components that report no
+ *    work via Component::nextWork() are retired from the tick set and
+ *    re-activated by a wake heap (self-scheduled wakes and
+ *    requestWake() pushes from channels and peers). When every tick
+ *    set is empty the clock jumps straight to the next activity --
+ *    earliest wake, earliest event, run limit, or the cycle at which
+ *    the watchdog would trip -- so uncontended stretches cost O(1)
+ *    instead of O(components * cycles). Off, every component ticks
+ *    every cycle and nextWork() is never called: the always-tick
+ *    oracle.
+ *  - Sharding (setSharding()): how many parallel shards the buckets
+ *    hold and how many worker threads step them.
  *
  * Equivalence rests on two component-contract facts: stepping an idle
  * component is a no-op, and nextWork() never under-reports (see
- * Component). Active components are stepped in registration order, so
- * trace event order within a cycle is preserved too.
+ * Component). Ticking components are stepped in registration order
+ * within their bucket, so trace event order within a cycle is
+ * preserved too.
  */
 class Simulator : public BoundaryRegistrar
 {
@@ -111,9 +115,9 @@ class Simulator : public BoundaryRegistrar
     EventQueue &events() { return events_; }
 
     /**
-     * Select the scheduling mode. Enabling the fast path (re)activates
-     * every component; disabling it reverts to stepping everything
-     * (and dissolves any sharding).
+     * Turn idle-skipping (retirement and idle jumps) on or off. Either
+     * way every component rejoins its bucket's tick set; the shard
+     * partition is kept. Call between cycles.
      */
     void setFastPath(bool on);
 
@@ -122,23 +126,18 @@ class Simulator : public BoundaryRegistrar
 
     /**
      * Partition the components into @p parallelShards parallel shards
-     * plus one serial bucket and run the parallel phase on up to
-     * @p threads workers (1 = run the shard loop inline; results are
-     * identical either way). @p shardOf maps every registration index
-     * to its shard, with the value @p parallelShards meaning "serial
-     * bucket". Requires the fast path. Call before running.
+     * (0 = unsharded) plus one serial bucket and run the parallel
+     * phase on up to @p threads workers (1 = run the shard loop
+     * inline; results are identical either way). @p shardOf maps
+     * every registration index to its shard, with the value
+     * @p parallelShards meaning "serial bucket". Every component
+     * rejoins its bucket's tick set. Call between cycles.
      */
     void setSharding(std::vector<std::uint32_t> shardOf,
                      std::size_t parallelShards, unsigned threads);
 
-    /** Revert to the unsharded fast path. */
-    void clearSharding();
-
     /** Parallel shards in use (0 when unsharded). */
-    std::size_t shards() const
-    {
-        return sharded_ ? buckets_.size() - 1 : 0;
-    }
+    std::size_t shards() const { return buckets_.size() - 1; }
 
     /** Per-shard execution statistics (empty when unsharded);
      *  entry [shards()] is the serial bucket. */
@@ -146,12 +145,14 @@ class Simulator : public BoundaryRegistrar
 
     /**
      * Schedule @p component to be stepped at cycle @p when (clamped to
-     * the current cycle). Ignored on the cycle path, where everything
-     * is stepped anyway. Called via Component::requestWake().
+     * the current cycle). Ignored with idle-skipping off, where
+     * everything is stepped anyway. Called via
+     * Component::requestWake().
      */
     void wake(Component *component, Cycle when);
 
-    /** Components stepped every cycle right now (fast path only). */
+    /** Components in a tick set right now (all of them with
+     *  idle-skipping off). */
     std::size_t activeCount() const;
 
     /** Execute exactly one cycle. */
@@ -202,6 +203,8 @@ class Simulator : public BoundaryRegistrar
   private:
     void checkWatchdog();
 
+    /** Put every component back in its bucket's tick set. */
+    void resetTickSets();
     /** Move pending wakes due at now_ into the tick set. */
     void wakeDue(std::size_t bucket);
     /** Insert component @p idx into its bucket's tick set (sorted). */
@@ -218,7 +221,6 @@ class Simulator : public BoundaryRegistrar
      */
     Cycle nextActivity(Cycle limit) const;
 
-    void stepOneSharded();
     /** Run @p phase over all parallel shards on the worker pool (or
      *  inline when no pool exists). */
     void runParallelPhase(int phase);
@@ -237,7 +239,7 @@ class Simulator : public BoundaryRegistrar
     std::function<void()> watchdogOnTrip_;
     bool deadlocked_ = false;
 
-    // --- fast-path state ---
+    // --- scheduler state ---
     struct Wake
     {
         Cycle when;
@@ -246,10 +248,9 @@ class Simulator : public BoundaryRegistrar
     };
 
     /**
-     * One schedulable partition of the components. Unsharded, there
-     * is exactly one bucket holding everything; sharded, buckets
-     * [0, shards) are the parallel shards and the last bucket is the
-     * serial one.
+     * One schedulable partition of the components: buckets
+     * [0, shards()) are the parallel shards and the last bucket is the
+     * serial one (the only bucket when unsharded).
      */
     struct Bucket
     {
@@ -266,7 +267,7 @@ class Simulator : public BoundaryRegistrar
         bool stepping = false;
         /** Components assigned to this bucket. */
         std::size_t size = 0;
-        /** step() calls executed (sharded-mode accounting). */
+        /** step() calls executed. */
         std::uint64_t steps = 0;
         /** Items flushed from this bucket's boundary channels. */
         std::uint64_t boundarySends = 0;
@@ -277,7 +278,6 @@ class Simulator : public BoundaryRegistrar
     };
 
     bool fastPath_ = false;
-    bool sharded_ = false;
     std::vector<Bucket> buckets_;
     /** Bucket of each component (all 0 when unsharded). */
     std::vector<std::uint32_t> bucketOf_;
@@ -297,7 +297,7 @@ class Simulator : public BoundaryRegistrar
      *  barrier. */
     std::vector<char> shardProgress_;
 
-    // --- worker pool (sharded mode with threads > 1) ---
+    // --- worker pool (sharded with threads > 1) ---
     std::vector<std::thread> pool_;
     std::mutex poolMutex_;
     std::condition_variable poolCv_;

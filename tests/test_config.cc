@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/network.hh"
 #include "core/presets.hh"
+#include "scoped_env.hh"
 #include "sim/config.hh"
 
 namespace mdw {
@@ -153,6 +155,30 @@ TEST(Config, OutOfRangeLanesClampWithOneWarning)
     ASSERT_NE(err.find("switch.lanes"), std::string::npos) << err;
     EXPECT_NE(err.find("out of range"), std::string::npos) << err;
     EXPECT_EQ(err.find("switch.lanes"), err.rfind("switch.lanes"))
+        << "warned more than once: " << err;
+}
+
+TEST(Config, LanesEnvOverrideClampsWithOneWarning)
+{
+    // MDW_LANES goes through the same [1, kMaxLanes] clamp and
+    // warn-once as switch.lanes.
+    testing::internal::CaptureStderr();
+    {
+        const ScopedEnv lanes("MDW_LANES", "9");
+        for (int i = 0; i < 2; ++i) {
+            Network net(defaultNetwork());
+            EXPECT_EQ(net.config().sw.lanes, kMaxLanes);
+        }
+    }
+    {
+        const ScopedEnv lanes("MDW_LANES", "0");
+        Network net(defaultNetwork());
+        EXPECT_EQ(net.config().sw.lanes, 1); // clamps up, too
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_NE(err.find("MDW_LANES"), std::string::npos) << err;
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    EXPECT_EQ(err.find("MDW_LANES"), err.rfind("MDW_LANES"))
         << "warned more than once: " << err;
 }
 

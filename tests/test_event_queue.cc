@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,60 @@ class TickCounter : public Component
 };
 
 } // namespace
+
+namespace {
+
+/** Counts step() and nextWork() calls; never reports any work. */
+struct Probe : Component
+{
+    Probe() : Component("probe") {}
+
+    void step(Cycle) override { ++steps; }
+
+    Cycle
+    nextWork(Cycle) override
+    {
+        ++probes;
+        return kNoCycle;
+    }
+
+    std::uint64_t steps = 0;
+    std::uint64_t probes = 0;
+};
+
+} // namespace
+
+TEST(Simulator, AlwaysTickStepsEveryCycleAndNeverProbes)
+{
+    for (const std::size_t shards : {0u, 2u}) {
+        for (const bool fast : {false, true}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " fast=" + std::to_string(fast));
+            Simulator sim;
+            Probe a, b, c;
+            sim.add(&a);
+            sim.add(&b);
+            sim.add(&c);
+            // a and b in the parallel shards (if any), c serial; the
+            // partition must survive the mode switch that follows.
+            sim.setSharding(shards == 0
+                                ? std::vector<std::uint32_t>{0, 0, 0}
+                                : std::vector<std::uint32_t>{0, 1, 2},
+                            shards, 2);
+            sim.setFastPath(fast);
+            EXPECT_EQ(sim.shards(), shards);
+            sim.run(100);
+            for (const Probe *p : {&a, &b, &c}) {
+                // Always-tick: every cycle, no nextWork() probe. With
+                // idle-skipping the one probe after the first step
+                // retires the component for good.
+                EXPECT_EQ(p->steps, fast ? 1u : 100u);
+                EXPECT_EQ(p->probes, fast ? 1u : 0u);
+            }
+            EXPECT_EQ(sim.now(), 100u);
+        }
+    }
+}
 
 TEST(Simulator, StepsComponentsOncePerCycle)
 {

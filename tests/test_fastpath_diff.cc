@@ -1,18 +1,18 @@
 /**
  * @file
- * Differential golden-stats harness for the schedulers: a three-way
- * oracle.
+ * Differential golden-stats harness for the scheduler's oracle
+ * matrix {always-tick, fast path} x {flat, sharded}.
  *
  * Every figure/ablation-style configuration is run on the
  * cycle-accurate oracle (sim.fastPath=0), on the idle-skipping fast
- * path, and on the sharded scheduler (sim.shards=2 and 4), and all
- * ExperimentResults must match bit for bit: every MetricsSnapshot
- * entry (counters, gauges, histogram bins), every verdict flag, the
- * cycle count, and (when tracing is on) the exact WormTracer event
- * sequence. A dedicated test sweeps shard counts {1,2,4,8} and thread
- * counts (inline and pooled), and a randomized property test hammers
- * the same equivalences over random topologies, bimodal workloads,
- * and fault plans.
+ * path, and sharded (sim.shards=2 and 4), and all ExperimentResults
+ * must match bit for bit: every MetricsSnapshot entry (counters,
+ * gauges, histogram bins), every verdict flag, the cycle count, and
+ * (when tracing is on) the exact WormTracer event sequence. A
+ * dedicated test sweeps shard counts {1,2,4,8} and thread counts
+ * (inline and pooled) with the fast path off and on, and a randomized
+ * property test hammers the same equivalences over random topologies,
+ * bimodal workloads, and fault plans.
  */
 
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include "core/hw_barrier.hh"
 #include "core/network.hh"
 #include "core/presets.hh"
+#include "scoped_env.hh"
 #include "sim/config.hh"
 #include "switch/arbiter.hh"
 #include "workload/traffic.hh"
@@ -416,13 +417,18 @@ TEST(FastPathDiffTrace, EventSequencesIdentical)
     }
 }
 
-// The sharded scheduler against the oracle at every required shard
-// count, inline and on a real worker pool, snapshot- and
-// trace-sequence-exact. Also checks that sharding actually engaged
-// (the matrix above would pass vacuously if setupSharding silently
-// vetoed these configs).
+// Sharding against the oracle at every required shard count, inline
+// and on a real worker pool, with idle-skipping off and on, snapshot-
+// and trace-sequence-exact. Also checks that sharding actually engaged
+// (the matrix would pass vacuously if setupSharding silently vetoed
+// these configs).
 TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
 {
+    // The matrix names every scheduler explicitly; whole-suite
+    // environment overrides must not collapse it. (MDW_SHARD_THREADS
+    // may stay: thread count never changes results.)
+    const ScopedEnv fastEnv("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shardsEnv("MDW_SHARDS", nullptr);
     const char *tokensList[] = {
         "telemetry.trace=1 telemetry.traceCapacity=65536 "
         "workload.load=0.1",
@@ -436,25 +442,24 @@ TEST(ShardDiff, ShardAndThreadCountsBitIdentical)
     for (const char *tokens : tokensList) {
         const Config config = withTokens(tokens);
         const ExperimentResult slow = runMode(config, false);
-        for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-            for (unsigned threads : {1u, 2u}) {
-                SCOPED_TRACE(std::string(tokens) + " shards=" +
-                             std::to_string(shards) + " threads=" +
-                             std::to_string(threads));
-                const ExperimentResult got =
-                    runMode(config, true, shards, threads);
-                expectSame(slow, got, tokens, "sharded");
-                if (slow.trace != nullptr)
-                    expectTraceIdentical(slow, got, tokens);
+        for (bool fastPath : {false, true}) {
+            for (std::size_t shards : {1u, 2u, 4u, 8u}) {
+                for (unsigned threads : {1u, 2u}) {
+                    SCOPED_TRACE(std::string(tokens) + " fastPath=" +
+                                 std::to_string(fastPath) +
+                                 " shards=" + std::to_string(shards) +
+                                 " threads=" + std::to_string(threads));
+                    const ExperimentResult got =
+                        runMode(config, fastPath, shards, threads);
+                    EXPECT_EQ(got.effectiveShards,
+                              shards > 1 ? shards : 0u);
+                    expectSame(slow, got, tokens, "sharded");
+                    if (slow.trace != nullptr)
+                        expectTraceIdentical(slow, got, tokens);
+                }
             }
         }
     }
-    // Prove the veto did not fire for these configs.
-    NetworkConfig network = defaultNetwork();
-    network.shards = 4;
-    Network net(network);
-    EXPECT_EQ(net.effectiveShards(), 4u);
-    EXPECT_TRUE(net.serialReason().empty());
 }
 
 // Subsystems that mutate shared state from switch steps must dissolve
@@ -531,6 +536,9 @@ TEST(FastPathDiff, IdleSystemFullyDeregisters)
     NetworkConfig config = defaultNetwork();
     config.fastPath = true;
     Network net(config);
+    // MDW_FAST_PATH in the environment beats config.fastPath, and
+    // with idle-skipping off every component always ticks.
+    net.sim().setFastPath(true);
     ScriptedTraffic traffic;
     MessageSpec spec;
     spec.dest = 5;

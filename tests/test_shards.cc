@@ -18,6 +18,7 @@
 #include "core/network.hh"
 #include "core/presets.hh"
 #include "message/pool.hh"
+#include "scoped_env.hh"
 #include "sim/channel.hh"
 #include "sim/shard_context.hh"
 #include "sim/telemetry.hh"
@@ -336,6 +337,49 @@ TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
     // The partition the network actually used covers every switch.
     EXPECT_EQ(net.shardPlan().switchShard.size(), net.numSwitches());
     EXPECT_FALSE(net.shardPlan().boundaryLinks.empty());
+}
+
+TEST(ShardedNetwork, FastPathToggleKeepsShardingBitIdentical)
+{
+    const ScopedEnv fastEnv("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shardsEnv("MDW_SHARDS", nullptr);
+    // Mirror-host unicasts in two waves, so worms are crossing shard
+    // boundaries while the scheduler switches idle-skipping off and
+    // back on.
+    const auto run = [](std::size_t shards, bool toggle) {
+        NetworkConfig config = defaultNetwork();
+        config.fastPath = toggle;
+        config.shards = shards;
+        config.shardThreads = 2;
+        Network net(config);
+        ScriptedTraffic traffic;
+        const NodeId hosts = static_cast<NodeId>(net.numHosts());
+        for (NodeId n = 0; n < hosts; ++n) {
+            MessageSpec spec;
+            spec.dest = static_cast<NodeId>(hosts - 1 - n);
+            spec.payloadFlits = 32;
+            traffic.post(0, n, spec);
+            traffic.post(150, n, spec);
+        }
+        for (NodeId n = 0; n < hosts; ++n)
+            net.nic(n).setWorkload(&traffic);
+        net.sim().run(100);
+        if (toggle)
+            net.sim().setFastPath(false);
+        net.sim().run(200);
+        if (toggle)
+            net.sim().setFastPath(true);
+        EXPECT_TRUE(net.sim().runUntil([&] { return net.idle(); },
+                                       50000));
+        EXPECT_EQ(net.effectiveShards(), shards > 1 ? shards : 0u);
+        EXPECT_EQ(net.sim().shards(), net.effectiveShards());
+        return std::make_pair(net.sim().now(), net.metricsSnapshot());
+    };
+    const auto oracle = run(1, false);
+    const auto toggled = run(4, true);
+    EXPECT_EQ(toggled.first, oracle.first);
+    EXPECT_TRUE(toggled.second.identical(oracle.second));
+    EXPECT_GT(oracle.second.sumCounters("messages_posted"), 0u);
 }
 
 TEST(ShardedNetwork, RequireSerialDissolvesSharding)
