@@ -2,24 +2,25 @@
 
 namespace mdw {
 
-CollectiveEngine::CollectiveEngine(Network &net)
-    : net_(net)
+std::shared_ptr<CollectiveEngine::Op>
+CollectiveEngine::newOp(std::size_t messages, Done done)
 {
-    for (NodeId n = 0; n < static_cast<NodeId>(net_.numHosts()); ++n) {
-        net_.nic(n).setDeliveryCallback(
-            [this, n](const PacketDesc &pkt, int payload, Cycle now) {
-                (void)payload;
-                onDelivery(n, pkt, now);
-            });
-    }
+    ++pending_;
+    return std::make_shared<Op>(Op{messages, std::move(done)});
 }
 
-CollectiveEngine::OpId
-CollectiveEngine::newOp(Op op)
+void
+CollectiveEngine::await(const std::shared_ptr<Op> &op, MsgId msg)
 {
-    const OpId id = nextId_++;
-    ops_.emplace(id, std::move(op));
-    return id;
+    net_.tracker().onRetired(msg, net_.sim().now(),
+                             [this, op](Cycle now) {
+                                 if (--op->outstanding > 0)
+                                     return;
+                                 --pending_;
+                                 const Done done = std::move(op->done);
+                                 if (done)
+                                     done(now);
+                             });
 }
 
 void
@@ -28,18 +29,9 @@ CollectiveEngine::broadcast(NodeId root, const DestSet &members,
 {
     MDW_ASSERT(!members.empty(), "broadcast to nobody");
     MDW_ASSERT(!members.test(root), "broadcast members include root");
-    Op op;
-    op.kind = Kind::Broadcast;
-    op.root = root;
-    op.members = members;
-    op.pending = members;
-    op.payload = payload;
-    op.done = std::move(done);
-    const OpId id = newOp(std::move(op));
-
-    const MsgId msg = net_.nic(root).postMulticast(
-        members, payload, net_.sim().now());
-    msgToOp_.emplace(msg, id);
+    const auto op = newOp(1, std::move(done));
+    await(op, net_.nic(root).postMulticast(members, payload,
+                                           net_.sim().now()));
 }
 
 void
@@ -48,21 +40,9 @@ CollectiveEngine::barrier(NodeId root, const DestSet &members,
 {
     MDW_ASSERT(!members.empty(), "barrier with no members");
     MDW_ASSERT(!members.test(root), "barrier members include root");
-    Op op;
-    op.kind = Kind::BarrierGather;
-    op.root = root;
-    op.members = members;
-    op.pending = members;
-    op.payload = kControlPayload;
-    op.done = std::move(done);
-    const OpId id = newOp(std::move(op));
-
-    // Every member signals arrival to the root.
-    members.forEach([this, root, id](NodeId member) {
-        const MsgId msg = net_.nic(member).postUnicast(
-            root, kControlPayload, net_.sim().now());
-        msgToOp_.emplace(msg, id);
-    });
+    // Arrivals are a gather of control messages, the release a
+    // broadcast of one.
+    allreduce(root, members, kControlPayload, std::move(done));
 }
 
 void
@@ -71,19 +51,12 @@ CollectiveEngine::reduce(NodeId root, const DestSet &members,
 {
     MDW_ASSERT(!members.empty(), "reduction with no members");
     MDW_ASSERT(!members.test(root), "reduction members include root");
-    Op op;
-    op.kind = Kind::Reduce;
-    op.root = root;
-    op.members = members;
-    op.pending = members;
-    op.payload = payload;
-    op.done = std::move(done);
-    const OpId id = newOp(std::move(op));
-
-    members.forEach([this, root, payload, id](NodeId member) {
-        const MsgId msg = net_.nic(member).postUnicast(
-            root, payload, net_.sim().now());
-        msgToOp_.emplace(msg, id);
+    // Count every contribution before posting any: a post whose
+    // destination is written off retires inside the post.
+    const auto op = newOp(members.count(), std::move(done));
+    members.forEach([this, root, payload, &op](NodeId member) {
+        await(op, net_.nic(member).postUnicast(root, payload,
+                                               net_.sim().now()));
     });
 }
 
@@ -100,68 +73,6 @@ CollectiveEngine::allreduce(NodeId root, const DestSet &members,
                broadcast(root, members_copy, payload,
                          std::move(done_copy));
            });
-}
-
-void
-CollectiveEngine::onDelivery(NodeId at, const PacketDesc &pkt,
-                             Cycle now)
-{
-    const auto msg_it = msgToOp_.find(pkt.msg);
-    if (msg_it == msgToOp_.end())
-        return; // not collective traffic
-    const OpId id = msg_it->second;
-    auto op_it = ops_.find(id);
-    MDW_ASSERT(op_it != ops_.end(), "delivery for a finished op");
-    Op &op = op_it->second;
-
-    switch (op.kind) {
-      case Kind::Broadcast:
-        MDW_ASSERT(op.pending.test(at),
-                   "duplicate broadcast delivery at node %d", at);
-        op.pending.clear(at);
-        break;
-      case Kind::BarrierGather:
-      case Kind::Reduce:
-        MDW_ASSERT(at == op.root, "gather delivery away from root");
-        MDW_ASSERT(op.pending.test(pkt.src),
-                   "duplicate arrival from node %d", pkt.src);
-        op.pending.clear(pkt.src);
-        msgToOp_.erase(msg_it);
-        break;
-    }
-
-    if (!op.pending.empty())
-        return;
-
-    if (op.kind == Kind::BarrierGather) {
-        // All arrived: root releases with a multicast; completion is
-        // the release broadcast's completion.
-        op.kind = Kind::Broadcast;
-        op.pending = op.members;
-        const MsgId release = net_.nic(op.root).postMulticast(
-            op.members, kControlPayload, now);
-        msgToOp_.emplace(release, id);
-        return;
-    }
-    finish(id, now);
-}
-
-void
-CollectiveEngine::finish(OpId id, Cycle now)
-{
-    auto it = ops_.find(id);
-    MDW_ASSERT(it != ops_.end(), "finishing unknown op");
-    const Done done = std::move(it->second.done);
-    // Drop all message mappings pointing at this op.
-    for (auto msg_it = msgToOp_.begin(); msg_it != msgToOp_.end();) {
-        if (msg_it->second == id)
-            msg_it = msgToOp_.erase(msg_it);
-        else
-            ++msg_it;
-    }
-    ops_.erase(it);
-    if (done)
-        done(now);
 }
 
 } // namespace mdw

@@ -9,34 +9,35 @@
  * inside the collectives go through whatever multicast scheme the
  * network's NICs are configured with (hardware worms or U-Min
  * software trees), so the same experiment compares implementations.
+ *
+ * Every phase ends when the McastTracker retires its messages, each
+ * delivered everywhere or written off as unreachable, so operations
+ * complete under faults and the engine needs no hook of its own.
  */
 
 #ifndef MDW_CORE_COLLECTIVES_HH
 #define MDW_CORE_COLLECTIVES_HH
 
 #include <functional>
-#include <unordered_map>
+#include <memory>
 
 #include "core/network.hh"
 
 namespace mdw {
 
-/** Asynchronous collective-operation engine for one Network. */
+/** Asynchronous collective-operation engine for one Network. It must
+ *  outlive the operations it started: their waits call back into it. */
 class CollectiveEngine
 {
   public:
     /** Completion callback: receives the cycle the operation ended. */
     using Done = std::function<void(Cycle)>;
 
-    /**
-     * Hooks every NIC's delivery callback; only one engine may be
-     * attached to a network at a time.
-     */
-    explicit CollectiveEngine(Network &net);
+    explicit CollectiveEngine(Network &net) : net_(net) {}
 
     /**
      * Broadcast @p payload flits from @p root to @p members (root
-     * excluded). Completes when the last member received the data.
+     * excluded). Completes when the multicast retires.
      */
     void broadcast(NodeId root, const DestSet &members, int payload,
                    Done done);
@@ -44,16 +45,16 @@ class CollectiveEngine
     /**
      * Barrier among @p root plus @p members: members signal arrival
      * with short unicasts to the root; once all arrived, the root
-     * multicasts the release. Completes when the last member
-     * received the release. (Callers model local computation by
-     * choosing when to invoke it.)
+     * multicasts the release. Completes when the release retires.
+     * (Callers model local computation by choosing when to invoke
+     * it.)
      */
     void barrier(NodeId root, const DestSet &members, Done done);
 
     /**
      * Reduction to @p root: every member sends @p payload flits to
      * the root (the combining itself is free at the host). Completes
-     * when the root received all contributions.
+     * when every contribution retired.
      */
     void reduce(NodeId root, const DestSet &members, int payload,
                 Done done);
@@ -66,36 +67,26 @@ class CollectiveEngine
                    Done done);
 
     /** Operations started and not yet completed. */
-    std::size_t pendingOps() const { return ops_.size(); }
+    std::size_t pendingOps() const { return pending_; }
 
     /** Flits used for barrier arrival/release control messages. */
     static constexpr int kControlPayload = 4;
 
   private:
-    enum class Kind { Broadcast, BarrierGather, Reduce };
-
+    /** One phase of an operation: messages still to retire. */
     struct Op
     {
-        Kind kind = Kind::Broadcast;
-        NodeId root = kInvalidNode;
-        DestSet members{0};
-        DestSet pending{0};
-        int payload = 0;
+        std::size_t outstanding = 0;
         Done done;
     };
 
-    using OpId = std::uint64_t;
-
-    void onDelivery(NodeId at, const PacketDesc &pkt, Cycle now);
-    OpId newOp(Op op);
-    void finish(OpId id, Cycle now);
+    /** Start a phase that ends when @p messages messages retire. */
+    std::shared_ptr<Op> newOp(std::size_t messages, Done done);
+    /** Count @p msg's retirement toward @p op. */
+    void await(const std::shared_ptr<Op> &op, MsgId msg);
 
     Network &net_;
-    std::unordered_map<OpId, Op> ops_;
-    /** Maps a message id to the op waiting on its deliveries. */
-    std::unordered_map<MsgId, OpId> msgToOp_;
-    /** Per-op arrival bookkeeping for gather phases. */
-    OpId nextId_ = 1;
+    std::size_t pending_ = 0;
 };
 
 } // namespace mdw

@@ -25,13 +25,6 @@ HwBarrierManager::HwBarrierManager(Network &net)
             },
             [this](int group) { return makeReleaseDesc(group); });
     }
-    for (NodeId n = 0; n < static_cast<NodeId>(net_.numHosts()); ++n) {
-        net_.nic(n).setDeliveryCallback(
-            [this, n](const PacketDesc &pkt, int payload, Cycle now) {
-                (void)payload;
-                onDelivery(n, pkt, now);
-            });
-    }
 }
 
 int
@@ -81,7 +74,6 @@ HwBarrierManager::createGroup(const DestSet &members)
 
     Group state;
     state.members = members;
-    state.waiting = DestSet(net_.numHosts());
     groups_.emplace(group, std::move(state));
     return group;
 }
@@ -116,41 +108,23 @@ HwBarrierManager::startBarrier(int group, Done done)
     MDW_ASSERT(!state.active,
                "barrier group %d already has a round in flight", group);
     state.active = true;
-    state.done = std::move(done);
-    state.waiting = state.members;
     state.releaseMsg = net_.packetFactory().newMsgId();
-    net_.tracker().expectMessage(state.releaseMsg, kInvalidNode,
-                                 state.members.count(),
-                                 net_.sim().now(), true);
-    msgToGroup_.emplace(state.releaseMsg, group);
-    ++pending_;
-
     const Cycle now = net_.sim().now();
+    net_.tracker().expectMessage(state.releaseMsg, kInvalidNode,
+                                 state.members.count(), now, true);
+    ++pending_;
+    net_.tracker().onRetired(
+        state.releaseMsg, now,
+        [this, &state, done = std::move(done)](Cycle at) {
+            state.active = false;
+            --pending_;
+            if (done)
+                done(at);
+        });
+
     state.members.forEach([this, group, now](NodeId member) {
         net_.nic(member).postBarrierArrive(group, now);
     });
-}
-
-void
-HwBarrierManager::onDelivery(NodeId at, const PacketDesc &pkt,
-                             Cycle now)
-{
-    const auto msg_it = msgToGroup_.find(pkt.msg);
-    if (msg_it == msgToGroup_.end())
-        return;
-    Group &state = groups_.at(msg_it->second);
-    MDW_ASSERT(state.waiting.test(at),
-               "duplicate release delivery at node %d", at);
-    state.waiting.clear(at);
-    if (!state.waiting.empty())
-        return;
-    msgToGroup_.erase(msg_it);
-    state.active = false;
-    --pending_;
-    const Done done = std::move(state.done);
-    state.done = nullptr;
-    if (done)
-        done(now);
 }
 
 } // namespace mdw

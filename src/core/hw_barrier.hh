@@ -18,8 +18,9 @@
  * host.
  *
  * Requires the central-buffer architecture (the SP-Switch-style
- * design the companion paper targets). Hooks every NIC's delivery
- * callback, so it cannot share a Network with a CollectiveEngine.
+ * design the companion paper targets). A round ends when the
+ * McastTracker retires its release, delivered everywhere or written
+ * off.
  */
 
 #ifndef MDW_CORE_HW_BARRIER_HH
@@ -32,7 +33,8 @@
 
 namespace mdw {
 
-/** Plans combining trees and runs hardware barrier rounds. */
+/** Plans combining trees and runs hardware barrier rounds. It must
+ *  outlive the rounds it started: their waits call back into it. */
 class HwBarrierManager
 {
   public:
@@ -50,7 +52,7 @@ class HwBarrierManager
 
     /**
      * Run one barrier round: every member signals arrival now; the
-     * callback fires when the last member has received the release.
+     * callback fires when the release retires.
      * A group supports one outstanding round at a time.
      */
     void startBarrier(int group, Done done);
@@ -67,16 +69,12 @@ class HwBarrierManager
         DestSet members{0};
         bool active = false;
         MsgId releaseMsg = 0;
-        DestSet waiting{0};
-        Done done;
     };
 
     PacketDesc makeReleaseDesc(int group);
-    void onDelivery(NodeId at, const PacketDesc &pkt, Cycle now);
 
     Network &net_;
     std::unordered_map<int, Group> groups_;
-    std::unordered_map<MsgId, int> msgToGroup_;
     int nextGroup_ = 0;
     std::size_t pending_ = 0;
 };

@@ -130,8 +130,24 @@ McastTracker::finish(std::unordered_map<MsgId, Record>::iterator it,
     if (resilient_)
         completedIds_.insert(it->first);
     live_.erase(it);
+    if (!retireWaits_.empty()) {
+        if (auto wait = retireWaits_.extract(msg))
+            wait.mapped()(now);
+    }
     if (onComplete_)
         onComplete_(msg, src, now);
+}
+
+void
+McastTracker::onRetired(MsgId msg, Cycle now, RetireFn fn)
+{
+    if (live_.count(msg) == 0) {
+        fn(now);
+        return;
+    }
+    const bool inserted = retireWaits_.emplace(msg, std::move(fn)).second;
+    MDW_ASSERT(inserted, "message %llu already has a retirement wait",
+               static_cast<unsigned long long>(msg));
 }
 
 void

@@ -50,6 +50,18 @@ class McastTracker
         onComplete_ = std::move(hook);
     }
 
+    /** Called with the retiring cycle by onRetired(). */
+    using RetireFn = std::function<void(Cycle)>;
+
+    /**
+     * Call @p fn once @p msg retires, delivered everywhere or written
+     * off. Runs inside the retiring delivery, just before the
+     * completion hook. A message that has already retired (a post
+     * whose destinations were all written off retires inside the
+     * post) runs @p fn at once with @p now. One wait per message.
+     */
+    void onRetired(MsgId msg, Cycle now, RetireFn fn);
+
     /**
      * Switch to resilient accounting (fault injection / NIC
      * retransmission): redundant copies at a destination are
@@ -166,6 +178,8 @@ class McastTracker
     std::uint64_t unreachableDests_ = 0;
 
     CompletionHook onComplete_;
+    /** Pending onRetired() waits, by message. */
+    std::unordered_map<MsgId, RetireFn> retireWaits_;
 };
 
 } // namespace mdw

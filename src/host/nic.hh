@@ -12,14 +12,16 @@
  *    carriers and, on receiving a carrier with delegated
  *    destinations, forwards after a receive overhead;
  *  - ejection: consumes arriving flits, reassembles packets, and
- *    reports deliveries to the McastTracker.
+ *    reports each delivery to the workload's onDelivered() hook and
+ *    to the McastTracker. Layers above learn that a message finished
+ *    only from the tracker retiring it (McastTracker::onRetired() and
+ *    the completion hook).
  */
 
 #ifndef MDW_HOST_NIC_HH
 #define MDW_HOST_NIC_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -150,27 +152,12 @@ class Nic : public Component
     void setWorkload(Workload *workload) { source_ = workload; }
 
     /**
-     * Callback invoked on every *message-level* delivery at this
-     * node (after reassembly), with the descriptor of the completing
-     * packet, the message's total payload, and the cycle. Used by
-     * the collective-operations engine.
-     */
-    using DeliveryCallback =
-        std::function<void(const PacketDesc &, int, Cycle)>;
-
-    void
-    setDeliveryCallback(DeliveryCallback callback)
-    {
-        onDelivery_ = std::move(callback);
-    }
-
-    /**
      * Post a unicast message (application API). @p token is the
      * workload correlation id reported through Workload::onPosted
      * (0 = untracked); the workload learns the message id *before*
      * the send is launched, because pruning unreachable destinations
      * can retire the message synchronously inside the post.
-     * @return The message id (for delivery-callback matching).
+     * @return The message id (for McastTracker::onRetired()).
      */
     MsgId postUnicast(NodeId dest, int payloadFlits, Cycle now,
                       std::uint64_t token = 0, int trafficClass = 0);
@@ -179,7 +166,7 @@ class Nic : public Component
      * Post a multicast message; expands per the configured scheme
      * and encoding. @p dests must not contain this node. @p token as
      * for postUnicast().
-     * @return The message id (for delivery-callback matching).
+     * @return The message id (for McastTracker::onRetired()).
      */
     MsgId postMulticast(const DestSet &dests, int payloadFlits,
                         Cycle now, std::uint64_t token = 0,
@@ -312,8 +299,6 @@ class Nic : public Component
     CreditChannel *rxCreditOut_ = nullptr;
     std::vector<PacketPtr> rxCurrent_;
     std::vector<int> rxArrived_;
-
-    DeliveryCallback onDelivery_;
 
     /** Reassembly of multi-packet messages. */
     struct RxMessage

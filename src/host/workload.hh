@@ -6,11 +6,13 @@
  * open-loop half) and is additionally *notified* of message
  * progress: onPosted() when a polled spec has been assigned a message
  * id, onDelivered() for every per-destination copy, and onCompleted()
- * when the tracker retires the whole message. Closed-loop workloads
- * use those notifications to release dependent messages, which in
- * turn wakes the sleeping NIC of the releasing node through the wake
- * hook — so the idle-skipping fast path stays bit-identical to the
- * always-polled oracle.
+ * when the tracker retires the whole message (delivered everywhere or
+ * written off). Retirement is the one completion signal: the
+ * collective engines wait on the same event through
+ * McastTracker::onRetired(). Closed-loop workloads use onCompleted()
+ * to release dependent messages, which in turn wakes the sleeping NIC
+ * of the releasing node through the wake hook — so the idle-skipping
+ * fast path stays bit-identical to the always-polled oracle.
  *
  * Determinism contract (the "release rule"): a hook observing an
  * event at cycle t may schedule new emissions no earlier than t+1.

@@ -87,8 +87,7 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
     // The main thread participates in the parallel phase, so a pool
     // of workers - 1 suffices; workers == 1 runs the shard loop
     // inline with no pool at all (bit-identical by construction).
-    if (workers > 1)
-        startPool(workers - 1);
+    poolSize_ = workers > 1 ? workers - 1 : 0;
 }
 
 void
@@ -350,6 +349,8 @@ void
 Simulator::runParallelPhase(int phase)
 {
     const std::size_t shards = buckets_.size() - 1;
+    if (pool_.empty() && poolSize_ > 0)
+        startPool(poolSize_);
     if (pool_.empty()) {
         for (std::size_t s = 0; s < shards; ++s)
             runShardTask(phase, s);

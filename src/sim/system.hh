@@ -131,13 +131,17 @@ class Simulator : public BoundaryRegistrar
      * inline; results are identical either way). @p shardOf maps
      * every registration index to its shard, with the value
      * @p parallelShards meaning "serial bucket". Every component
-     * rejoins its bucket's tick set. Call between cycles.
+     * rejoins its bucket's tick set. Only records the pool size: the
+     * workers start at the first cycle. Call between cycles.
      */
     void setSharding(std::vector<std::uint32_t> shardOf,
                      std::size_t parallelShards, unsigned threads);
 
     /** Parallel shards in use (0 when unsharded). */
     std::size_t shards() const { return buckets_.size() - 1; }
+
+    /** Worker threads running; the pool starts at the first cycle. */
+    std::size_t workerThreads() const { return pool_.size(); }
 
     /** Per-shard execution statistics (empty when unsharded);
      *  entry [shards()] is the serial bucket. */
@@ -298,6 +302,10 @@ class Simulator : public BoundaryRegistrar
     std::vector<char> shardProgress_;
 
     // --- worker pool (sharded with threads > 1) ---
+    /** Workers the parallel phase uses; they start at its first run,
+     *  so a simulator that never steps owns no threads (safe to fork
+     *  in death tests). */
+    unsigned poolSize_ = 0;
     std::vector<std::thread> pool_;
     std::mutex poolMutex_;
     std::condition_variable poolCv_;

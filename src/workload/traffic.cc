@@ -184,41 +184,4 @@ SyntheticTraffic::randomDests(NodeState &state, NodeId self, int degree)
     return dests;
 }
 
-void
-ScriptedTraffic::post(Cycle when, NodeId node, MessageSpec spec)
-{
-    script_[node][when].push_back(std::move(spec));
-    ++pending_;
-}
-
-Cycle
-ScriptedTraffic::nextArrival(NodeId node, Cycle now)
-{
-    const auto it = script_.find(node);
-    if (it == script_.end() || it->second.empty())
-        return kNoCycle;
-    const Cycle when = it->second.begin()->first;
-    // Defensive: an overdue posting keeps the caller polling.
-    return when < now ? now : when;
-}
-
-void
-ScriptedTraffic::poll(NodeId node, Cycle now,
-                      std::vector<MessageSpec> &out)
-{
-    const auto it = script_.find(node);
-    if (it == script_.end())
-        return;
-    auto &byCycle = it->second;
-    while (!byCycle.empty() && byCycle.begin()->first <= now) {
-        for (MessageSpec &spec : byCycle.begin()->second) {
-            out.push_back(std::move(spec));
-            --pending_;
-        }
-        byCycle.erase(byCycle.begin());
-    }
-    if (byCycle.empty())
-        script_.erase(it);
-}
-
 } // namespace mdw

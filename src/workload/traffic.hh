@@ -9,7 +9,6 @@
 #ifndef MDW_WORKLOAD_TRAFFIC_HH
 #define MDW_WORKLOAD_TRAFFIC_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -152,34 +151,6 @@ class SyntheticTraffic : public Workload
     double rate_;
     std::vector<NodeState> nodes_;
     std::uint64_t generated_ = 0;
-};
-
-/**
- * Deterministic scripted workload for tests and examples: an explicit
- * list of (cycle, node, message) postings.
- */
-class ScriptedTraffic : public Workload
-{
-  public:
-    /** Schedule @p spec to be posted by @p node at cycle @p when. */
-    void post(Cycle when, NodeId node, MessageSpec spec);
-
-    void poll(NodeId node, Cycle now,
-              std::vector<MessageSpec> &out) override;
-
-    /** Exact per-node lookup (O(log n)): the fast path sleeps the
-     *  NIC straight through to its next scripted posting. */
-    Cycle nextArrival(NodeId node, Cycle now) override;
-
-    bool exhausted() const override { return pending_ == 0; }
-
-    /** Postings not yet handed out. */
-    std::size_t pending() const { return pending_; }
-
-  private:
-    /** Per node, postings keyed by cycle. */
-    std::map<NodeId, std::map<Cycle, std::vector<MessageSpec>>> script_;
-    std::size_t pending_ = 0;
 };
 
 } // namespace mdw

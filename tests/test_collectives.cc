@@ -8,6 +8,8 @@
 
 #include "core/collectives.hh"
 #include "core/presets.hh"
+#include "core/resilience.hh"
+#include "topology/fat_tree.hh"
 
 namespace mdw {
 namespace {
@@ -181,6 +183,45 @@ TEST(Collectives, ConcurrentBroadcastsFromDifferentRoots)
     ASSERT_TRUE(
         net.sim().runUntil([&net] { return net.idle(); }, 100000));
     EXPECT_EQ(completions, 2);
+}
+
+// A member written off as unreachable still lets the operation
+// finish: the tracker retires the message partially delivered, and
+// that retirement is what the engine waits on.
+TEST(Collectives, CompleteWhenMembersAreWrittenOff)
+{
+    NetworkConfig config = smallNet();
+    config.nic.retransmitTimeout = 2000;
+    // Host 15's leaf switch (hosts 12..15) dies at cycle 5.
+    FaultEvent fault;
+    fault.kind = FaultKind::SwitchDown;
+    fault.when = 5;
+    fault.sw = FatTree(4, 2).graph().attach(15).sw;
+    config.faultPlan.add(fault);
+    Network net(config);
+    CollectiveEngine coll(net);
+
+    const DestSet members = someMembers(net.numHosts());
+    Cycle broadcast_done = 0, barrier_done = 0;
+    coll.broadcast(0, members, 64,
+                   [&](Cycle now) { broadcast_done = now; });
+    coll.barrier(0, members, [&](Cycle now) { barrier_done = now; });
+    net.armWatchdog(40000);
+    ASSERT_TRUE(
+        net.sim().runUntil([&net] { return net.idle(); }, 200000));
+    EXPECT_GT(broadcast_done, 5u);
+    EXPECT_GT(barrier_done, 5u);
+    EXPECT_EQ(coll.pendingOps(), 0u);
+    EXPECT_GE(net.tracker().partialCompleted(), 2u);
+
+    // After the fault, the dead members' arrivals retire inside the
+    // post, before the engine starts waiting on them.
+    barrier_done = 0;
+    coll.barrier(0, members, [&](Cycle now) { barrier_done = now; });
+    ASSERT_TRUE(
+        net.sim().runUntil([&net] { return net.idle(); }, 200000));
+    EXPECT_GT(barrier_done, 0u);
+    EXPECT_EQ(coll.pendingOps(), 0u);
 }
 
 } // namespace

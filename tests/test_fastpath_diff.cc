@@ -12,12 +12,14 @@
  * dedicated test sweeps shard counts {1,2,4,8} and thread counts
  * (inline and pooled) with the fast path off and on, and a randomized
  * property test hammers the same equivalences over random topologies,
- * bimodal workloads, and fault plans.
+ * bimodal workloads, and fault plans. Collective-engine and
+ * hardware-barrier rounds must also finish on the same cycles.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/collectives.hh"
 #include "core/experiment.hh"
 #include "core/hw_barrier.hh"
 #include "core/network.hh"
@@ -33,6 +36,7 @@
 #include "scoped_env.hh"
 #include "sim/config.hh"
 #include "switch/arbiter.hh"
+#include "workload/trace.hh"
 #include "workload/traffic.hh"
 
 namespace mdw {
@@ -539,11 +543,12 @@ TEST(FastPathDiff, IdleSystemFullyDeregisters)
     // MDW_FAST_PATH in the environment beats config.fastPath, and
     // with idle-skipping off every component always ticks.
     net.sim().setFastPath(true);
-    ScriptedTraffic traffic;
-    MessageSpec spec;
-    spec.dest = 5;
-    spec.payloadFlits = 16;
-    traffic.post(0, 0, spec);
+    TraceTraffic traffic(net.numHosts());
+    TraceEvent event;
+    event.src = 0;
+    event.spec.dest = 5;
+    event.spec.payloadFlits = 16;
+    traffic.add(event);
     for (NodeId n = 0; n < static_cast<NodeId>(net.numHosts()); ++n)
         net.nic(n).setWorkload(&traffic);
 
@@ -555,6 +560,114 @@ TEST(FastPathDiff, IdleSystemFullyDeregisters)
         [&] { return net.checkQuiescent(nullptr); }, 4096));
     EXPECT_EQ(net.sim().activeCount(), 0u);
     EXPECT_EQ(net.nic(5).stats().packetsDelivered.value(), 1u);
+}
+
+/** Completion cycles of every engine operation, plus the end state. */
+struct EngineRun
+{
+    std::vector<Cycle> done;
+    Cycle end = 0;
+    MetricsSnapshot snapshot;
+};
+
+/**
+ * Engine-driven rounds over background uniform unicast: software
+ * barriers and allreduces through the CollectiveEngine, or
+ * hardware-barrier rounds. Engines react to retirements inside a
+ * delivery, so their rounds must finish on the same cycle under every
+ * scheduler.
+ */
+EngineRun
+runEngineRounds(bool hwBarrier, McastScheme scheme, bool fastPath,
+                std::size_t shards)
+{
+    const ScopedEnv fastEnv("MDW_FAST_PATH", nullptr);
+    const ScopedEnv shardsEnv("MDW_SHARDS", nullptr);
+    NetworkConfig config = defaultNetwork();
+    config.nic.scheme = scheme;
+    config.nic.sendOverhead = 20;
+    config.nic.recvOverhead = 20;
+    config.fastPath = fastPath;
+    config.shards = shards;
+    config.shardThreads = 2;
+    Network net(config);
+    CollectiveEngine coll(net);
+    std::unique_ptr<HwBarrierManager> barriers;
+    if (hwBarrier)
+        barriers = std::make_unique<HwBarrierManager>(net);
+    EXPECT_EQ(net.effectiveShards(),
+              shards > 1 && !hwBarrier ? shards : 0u);
+
+    TrafficParams bg;
+    bg.pattern = TrafficPattern::UniformUnicast;
+    bg.load = 0.1;
+    bg.payloadFlits = 32;
+    SyntheticTraffic source(net.numHosts(), bg);
+    net.attachWorkload(&source);
+    net.armWatchdog(20000);
+    net.sim().run(600);
+
+    DestSet members(net.numHosts());
+    for (NodeId m = 1; m < static_cast<NodeId>(net.numHosts()); m += 3)
+        members.set(m);
+    const int group = hwBarrier ? barriers->createGroup(members) : -1;
+
+    EngineRun result;
+    for (int round = 0; round < 6; ++round) {
+        const std::size_t before = result.done.size();
+        const auto record = [&result](Cycle now) {
+            result.done.push_back(now);
+        };
+        if (hwBarrier)
+            barriers->startBarrier(group, record);
+        else if (round % 2 == 0)
+            coll.barrier(0, members, record);
+        else
+            coll.allreduce(5, members - DestSet::of(64, {5}), 16,
+                           record);
+        EXPECT_TRUE(net.sim().runUntil(
+            [&] { return result.done.size() > before; }, 50000));
+        net.sim().run(150);
+    }
+    net.detachWorkload();
+    EXPECT_TRUE(net.sim().runUntil([&] { return net.idle(); }, 50000));
+    result.end = net.sim().now();
+    result.snapshot = net.metricsSnapshot();
+    return result;
+}
+
+void
+expectSameRounds(const EngineRun &ref, const EngineRun &got)
+{
+    EXPECT_EQ(ref.done, got.done);
+    EXPECT_EQ(ref.end, got.end);
+    EXPECT_TRUE(ref.snapshot.identical(got.snapshot))
+        << diffSnapshots(ref.snapshot, got.snapshot);
+}
+
+TEST(FastPathDiff, CollectiveEngineRoundsBitIdentical)
+{
+    for (McastScheme scheme :
+         {McastScheme::Hardware, McastScheme::Software}) {
+        SCOPED_TRACE(toString(scheme));
+        const EngineRun oracle =
+            runEngineRounds(false, scheme, false, 1);
+        ASSERT_EQ(oracle.done.size(), 6u);
+        expectSameRounds(oracle, runEngineRounds(false, scheme, true, 1));
+        expectSameRounds(oracle,
+                         runEngineRounds(false, scheme, false, 4));
+        expectSameRounds(oracle, runEngineRounds(false, scheme, true, 4));
+    }
+}
+
+// Hardware barriers veto sharding, so only idle-skipping varies.
+TEST(FastPathDiff, HardwareBarrierRoundsBitIdentical)
+{
+    const EngineRun oracle =
+        runEngineRounds(true, McastScheme::Hardware, false, 1);
+    ASSERT_EQ(oracle.done.size(), 6u);
+    expectSameRounds(
+        oracle, runEngineRounds(true, McastScheme::Hardware, true, 1));
 }
 
 // ~100 seeded trials over random topologies, bimodal workloads, and

@@ -221,6 +221,27 @@ TEST(HwBarrier, BeatsTheSoftwareBarrier)
     EXPECT_LT(hw, sw);
 }
 
+// Both engines wait on tracker retirements, so they share a network.
+TEST(HwBarrier, SharesANetworkWithTheCollectiveEngine)
+{
+    Network net(barrierNet());
+    CollectiveEngine coll(net);
+    HwBarrierManager barrier(net);
+    const int group = barrier.createGroup(DestSet::of(16, {0, 5, 10}));
+
+    Cycle broadcast_done = 0, barrier_done = 0;
+    coll.broadcast(1, DestSet::of(16, {2, 7, 14}), 32,
+                   [&](Cycle now) { broadcast_done = now; });
+    barrier.startBarrier(group, [&](Cycle now) { barrier_done = now; });
+    net.armWatchdog(20000);
+    ASSERT_TRUE(
+        net.sim().runUntil([&net] { return net.idle(); }, 100000));
+    EXPECT_GT(broadcast_done, 0u);
+    EXPECT_GT(barrier_done, 0u);
+    EXPECT_EQ(coll.pendingOps(), 0u);
+    EXPECT_EQ(barrier.pendingBarriers(), 0u);
+}
+
 TEST(HwBarrierDeath, RequiresCentralBuffer)
 {
     NetworkConfig config = barrierNet();

@@ -22,7 +22,7 @@
 #include "sim/channel.hh"
 #include "sim/shard_context.hh"
 #include "sim/telemetry.hh"
-#include "workload/traffic.hh"
+#include "workload/trace.hh"
 
 namespace mdw {
 namespace {
@@ -260,6 +260,33 @@ TEST(ShardedTracer, CapacityBoundsTheMergedTail)
 // Network-level sharding
 // ---------------------------------------------------------------------
 
+/** A dependency-free trace event: @p src posts @p spec at @p when. */
+TraceEvent
+posting(Cycle when, NodeId src, const MessageSpec &spec)
+{
+    TraceEvent event;
+    event.when = when;
+    event.src = src;
+    event.spec = spec;
+    return event;
+}
+
+// A network that never ran owns no worker threads, so a death test
+// can fork it safely; the pool starts at the first cycle.
+TEST(ShardedNetwork, WorkerPoolStartsAtFirstCycle)
+{
+    const ScopedEnv shardsEnv("MDW_SHARDS", nullptr);
+    const ScopedEnv threadsEnv("MDW_SHARD_THREADS", nullptr);
+    NetworkConfig config = defaultNetwork();
+    config.shards = 4;
+    config.shardThreads = 4;
+    Network net(config);
+    ASSERT_EQ(net.effectiveShards(), 4u);
+    EXPECT_EQ(net.sim().workerThreads(), 0u);
+    net.sim().run(1);
+    EXPECT_EQ(net.sim().workerThreads(), 3u);
+}
+
 TEST(ShardedNetwork, EnvOverrideForcesShardCount)
 {
     ::setenv("MDW_SHARDS", "2", 1);
@@ -283,13 +310,13 @@ TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
 
     // Drive cross-shard traffic: every host unicasts to its mirror
     // host, so most worms traverse the (partitioned) upper stages.
-    ScriptedTraffic traffic;
+    TraceTraffic traffic(net.numHosts());
     const NodeId hosts = static_cast<NodeId>(net.numHosts());
     for (NodeId n = 0; n < hosts; ++n) {
         MessageSpec spec;
         spec.dest = static_cast<NodeId>(hosts - 1 - n);
         spec.payloadFlits = 32;
-        traffic.post(0, n, spec);
+        traffic.add(posting(0, n, spec));
     }
     for (NodeId n = 0; n < hosts; ++n)
         net.nic(n).setWorkload(&traffic);
@@ -352,14 +379,14 @@ TEST(ShardedNetwork, FastPathToggleKeepsShardingBitIdentical)
         config.shards = shards;
         config.shardThreads = 2;
         Network net(config);
-        ScriptedTraffic traffic;
+        TraceTraffic traffic(net.numHosts());
         const NodeId hosts = static_cast<NodeId>(net.numHosts());
         for (NodeId n = 0; n < hosts; ++n) {
             MessageSpec spec;
             spec.dest = static_cast<NodeId>(hosts - 1 - n);
             spec.payloadFlits = 32;
-            traffic.post(0, n, spec);
-            traffic.post(150, n, spec);
+            traffic.add(posting(0, n, spec));
+            traffic.add(posting(150, n, spec));
         }
         for (NodeId n = 0; n < hosts; ++n)
             net.nic(n).setWorkload(&traffic);
@@ -404,11 +431,11 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
 
     // The dissolved network still runs: channels are back to direct
     // delivery and the scheduler is the plain fast path.
-    ScriptedTraffic traffic;
+    TraceTraffic traffic(net.numHosts());
     MessageSpec spec;
     spec.dest = static_cast<NodeId>(net.numHosts() - 1);
     spec.payloadFlits = 16;
-    traffic.post(0, 0, spec);
+    traffic.add(posting(0, 0, spec));
     for (NodeId n = 0; n < static_cast<NodeId>(net.numHosts()); ++n)
         net.nic(n).setWorkload(&traffic);
     net.sim().run(5);

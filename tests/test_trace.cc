@@ -52,8 +52,10 @@ TEST(TraceTraffic, ReplaysAtExactCycles)
     trace.add(unicastEvent(10, 1, 2, 8));
     trace.add(unicastEvent(5, 1, 3, 8));
     trace.add(mcastEvent(7, 2, {4, 5}, 16));
-    EXPECT_EQ(trace.pending(), 3u);
-    EXPECT_EQ(trace.size(), 3u);
+    // Two postings by one node in one cycle both come out.
+    trace.add(unicastEvent(7, 2, 6, 8));
+    EXPECT_EQ(trace.pending(), 4u);
+    EXPECT_EQ(trace.size(), 4u);
 
     std::vector<MessageSpec> out;
     trace.poll(1, 4, out);
@@ -62,10 +64,11 @@ TEST(TraceTraffic, ReplaysAtExactCycles)
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].dest, 3);
     trace.poll(2, 7, out);
-    EXPECT_EQ(out.size(), 2u);
+    ASSERT_EQ(out.size(), 3u);
     EXPECT_TRUE(out[1].multicast);
+    EXPECT_EQ(out[2].dest, 6);
     trace.poll(1, 50, out); // catches up on the cycle-10 event
-    EXPECT_EQ(out.size(), 3u);
+    EXPECT_EQ(out.size(), 4u);
     EXPECT_EQ(trace.pending(), 0u);
 }
 

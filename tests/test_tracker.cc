@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "host/mcast_tracker.hh"
 
 namespace mdw {
@@ -79,6 +82,31 @@ TEST(Tracker, ResetStatsKeepsLiveMessages)
     EXPECT_EQ(t.inFlight(), 0u);
 }
 
+TEST(Tracker, RetirementWaitRunsBeforeCompletionHook)
+{
+    McastTracker t;
+    std::vector<std::string> calls;
+    t.setCompletionHook([&](MsgId msg, NodeId, Cycle now) {
+        calls.push_back("hook " + std::to_string(msg) + "@" +
+                        std::to_string(now));
+    });
+    t.expectMessage(4, 0, 2, 0, true);
+    t.onRetired(4, 0, [&](Cycle now) {
+        calls.push_back("wait@" + std::to_string(now));
+    });
+    t.onDelivered(4, 1, 30, 8);
+    EXPECT_TRUE(calls.empty());
+    t.onDelivered(4, 2, 40, 8);
+    EXPECT_EQ(calls, (std::vector<std::string>{"wait@40", "hook 4@40"}));
+
+    // A message that already retired runs the wait at once.
+    calls.clear();
+    t.onRetired(4, 55, [&](Cycle now) {
+        calls.push_back("wait@" + std::to_string(now));
+    });
+    EXPECT_EQ(calls, (std::vector<std::string>{"wait@55"}));
+}
+
 TEST(TrackerResilient, DuplicateDeliveriesAreSwallowed)
 {
     McastTracker t;
@@ -105,13 +133,17 @@ TEST(TrackerResilient, PartialCompletionUnderUnreachableDests)
     McastTracker t;
     t.enableResilience();
     t.expectMessage(3, 0, 3, 100, true);
+    Cycle retired = 0;
+    t.onRetired(3, 100, [&](Cycle now) { retired = now; });
     t.onDelivered(3, 1, 200, 8);
     EXPECT_TRUE(t.markUnreachable(3, 2, 250));
     EXPECT_FALSE(t.markUnreachable(3, 2, 250)) << "already written off";
     EXPECT_FALSE(t.markUnreachable(3, 1, 250)) << "already delivered";
     EXPECT_FALSE(t.isComplete(3));
+    EXPECT_EQ(retired, 0u);
     t.onDelivered(3, 4, 300, 8);
     EXPECT_TRUE(t.isComplete(3));
+    EXPECT_EQ(retired, 300u) << "a partial retirement ends the wait";
     EXPECT_EQ(t.partialCompleted(), 1u);
     EXPECT_EQ(t.totalCompleted(), 0u);
     EXPECT_EQ(t.unreachableDests(), 1u);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the synthetic and scripted traffic generators.
+ * Tests for the synthetic traffic generators.
  */
 
 #include <gtest/gtest.h>
@@ -200,58 +200,6 @@ TEST(SyntheticTrafficDeath, BadHotNodePanics)
     params.pattern = TrafficPattern::HotSpot;
     params.hotNode = 99;
     EXPECT_DEATH(SyntheticTraffic(8, params), "hot node");
-}
-
-TEST(ScriptedTraffic, DeliversAtExactCycles)
-{
-    ScriptedTraffic script;
-    MessageSpec spec;
-    spec.dest = 3;
-    spec.payloadFlits = 7;
-    script.post(10, 1, spec);
-    script.post(10, 1, spec);
-    script.post(20, 2, spec);
-    EXPECT_EQ(script.pending(), 3u);
-
-    std::vector<MessageSpec> out;
-    script.poll(1, 9, out);
-    EXPECT_TRUE(out.empty());
-    script.poll(2, 10, out); // wrong node
-    EXPECT_TRUE(out.empty());
-    script.poll(1, 10, out);
-    EXPECT_EQ(out.size(), 2u);
-    script.poll(2, 20, out);
-    EXPECT_EQ(out.size(), 3u);
-    EXPECT_EQ(script.pending(), 0u);
-}
-
-// The exact next-event lookup that lets the fast path sleep a NIC
-// straight through to its next scripted posting.
-TEST(ScriptedTraffic, ExactNextArrival)
-{
-    ScriptedTraffic script;
-    MessageSpec spec;
-    spec.dest = 3;
-    spec.payloadFlits = 7;
-    script.post(10, 1, spec);
-    script.post(40, 1, spec);
-    script.post(20, 2, spec);
-
-    EXPECT_EQ(script.nextArrival(1, 0), 10u);
-    EXPECT_EQ(script.nextArrival(2, 0), 20u);
-    EXPECT_EQ(script.nextArrival(0, 0), kNoCycle) << "unscripted node";
-    // An overdue posting is reported as "now", never in the past.
-    EXPECT_EQ(script.nextArrival(1, 15), 15u);
-
-    std::vector<MessageSpec> out;
-    script.poll(1, 15, out);
-    EXPECT_EQ(out.size(), 1u);
-    EXPECT_EQ(script.nextArrival(1, 15), 40u);
-    script.poll(1, 40, out);
-    EXPECT_EQ(script.nextArrival(1, 41), kNoCycle);
-    EXPECT_FALSE(script.exhausted());
-    script.poll(2, 20, out);
-    EXPECT_TRUE(script.exhausted());
 }
 
 } // namespace
