@@ -1,6 +1,7 @@
 #include "host/nic.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "host/sw_mcast.hh"
@@ -28,9 +29,17 @@ Nic::Nic(std::string name, NodeId id, std::size_t numHosts,
 {
     MDW_ASSERT(factory != nullptr && tracker != nullptr,
                "NIC %d needs a factory and a tracker", id);
-    MDW_ASSERT(params_.lanes >= 1, "NIC %d: lanes must be >= 1", id);
+    MDW_ASSERT(params_.lanes >= 1 && params_.lanes <= kMaxLanes,
+               "NIC %d: %d lanes", id, params_.lanes);
     rxCurrent_.resize(static_cast<std::size_t>(params_.lanes));
     rxArrived_.resize(static_cast<std::size_t>(params_.lanes), 0);
+    std::array<bool, kMaxLanes> used{};
+    for (int c = 0; c < kLaneClasses; ++c) {
+        const auto lane = static_cast<std::size_t>(injectLane(c));
+        if (!used[lane])
+            ++injectLanes_;
+        used[lane] = true;
+    }
 }
 
 void
@@ -344,8 +353,8 @@ Nic::nextWork(Cycle now)
         // unprepared or not-yet-ready head has a known wake-up; a
         // ready head only needs stepping while credits allow a send
         // (the credit channel wakes us otherwise).
-        std::vector<bool> seen(static_cast<std::size_t>(params_.lanes),
-                               false);
+        std::array<bool, kMaxLanes> seen{};
+        int unseen = injectLanes_;
         for (const SendJob &job : txQueue_) {
             const std::size_t lane = static_cast<std::size_t>(
                 injectLane(job.proto.trafficClass));
@@ -369,6 +378,8 @@ Nic::nextWork(Cycle now)
                 if (txCredits_[lane] >= needed)
                     consider(now + 1);
             }
+            if (--unseen == 0)
+                break; // every lane's head is accounted for
         }
     }
     if (params_.retransmitTimeout > 0 && !pending_.empty())
@@ -457,15 +468,19 @@ Nic::stepTx(Cycle now)
     // never head-of-line blocks a latency-class one. The physical
     // link still carries one flit per cycle; higher lanes — the
     // latency partition — are offered it first, mirroring the
-    // switches' serviceLane order. With one lane every job shares
+    // switches' laneOrder. With one lane every job shares
     // lane 0 and this is exactly the old single-queue behavior.
-    std::vector<std::deque<SendJob>::iterator> heads(
-        static_cast<std::size_t>(params_.lanes), txQueue_.end());
-    for (auto it = txQueue_.begin(); it != txQueue_.end(); ++it) {
+    std::array<std::deque<SendJob>::iterator, kMaxLanes> heads;
+    heads.fill(txQueue_.end());
+    int unseen = injectLanes_;
+    for (auto it = txQueue_.begin(); it != txQueue_.end() && unseen > 0;
+         ++it) {
         const auto lane = static_cast<std::size_t>(
             injectLane(it->proto.trafficClass));
-        if (heads[lane] == txQueue_.end())
+        if (heads[lane] == txQueue_.end()) {
             heads[lane] = it;
+            --unseen;
+        }
     }
     for (int lane = params_.lanes - 1; lane >= 0; --lane) {
         const auto it = heads[static_cast<std::size_t>(lane)];

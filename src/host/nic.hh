@@ -292,6 +292,9 @@ class Nic : public Component
     std::vector<int> txCredits_;
     bool txMcastWholePacket_ = false;
     std::deque<SendJob> txQueue_;
+    /** Distinct lanes injectLane() maps the traffic classes onto: a
+     *  walk of the send queue may stop once each has its head job. */
+    int injectLanes_ = 0;
 
     // Ejection side. Reassembly is per lane: the switch interleaves
     // packets of different lanes on the physical ejection link.

@@ -64,42 +64,25 @@ RoundRobinArbiter::resize(int requesters)
 }
 
 int
-RoundRobinArbiter::grant(const std::vector<bool> &request)
+RoundRobinArbiter::grant(const std::vector<int> &requesters)
 {
-    MDW_ASSERT(static_cast<int>(request.size()) == size_,
-               "request vector size %zu != arbiter size %d",
-               request.size(), size_);
-    for (int i = 1; i <= size_; ++i) {
-        const int idx = (last_ + i) % size_;
-        if (request[static_cast<std::size_t>(idx)]) {
-            last_ = idx;
-            ++grants_;
-            return idx;
-        }
-    }
-    return -1;
-}
-
-int
-RoundRobinArbiter::grantFrom(const std::vector<int> &requesters)
-{
-    if (requesters.empty() || size_ == 0)
-        return -1;
-    int best = -1;
-    int best_rank = size_ + 1;
-    for (int r : requesters) {
+    // Rotating priority without modular ranks: the smallest index
+    // after the last grant wins, else (wrapping) the smallest overall.
+    int after = -1;
+    int lowest = -1;
+    for (const int r : requesters) {
         MDW_ASSERT(r >= 0 && r < size_, "requester %d out of range", r);
-        const int rank = (r - last_ - 1 + size_) % size_;
-        if (rank < best_rank) {
-            best_rank = rank;
-            best = r;
-        }
+        if (r > last_ && (after < 0 || r < after))
+            after = r;
+        if (lowest < 0 || r < lowest)
+            lowest = r;
     }
-    if (best >= 0) {
-        last_ = best;
+    const int winner = after >= 0 ? after : lowest;
+    if (winner >= 0) {
+        last_ = winner;
         ++grants_;
     }
-    return best;
+    return winner;
 }
 
 } // namespace mdw

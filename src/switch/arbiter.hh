@@ -67,17 +67,12 @@ class RoundRobinArbiter
     void resize(int requesters);
 
     /**
-     * Grant one of the requesting inputs (request[i] true), starting
-     * the search after the last grant. Returns the granted index and
-     * rotates priority, or -1 if nobody requests.
+     * Grant one of @p requesters (requester indices, in any order,
+     * each at most once): the first index after the last grant,
+     * wrapping. Returns the granted index and rotates priority, or -1
+     * if the list is empty.
      */
-    int grant(const std::vector<bool> &request);
-
-    /**
-     * Same, with requests given as a list of requester indices
-     * (order-insensitive).
-     */
-    int grantFrom(const std::vector<int> &requesters);
+    int grant(const std::vector<int> &requesters);
 
     int size() const { return size_; }
 

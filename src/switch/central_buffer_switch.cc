@@ -458,12 +458,13 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
 void
 CentralBufferSwitch::bypassTransmit(Cycle now)
 {
+    // Latency-class lanes are served first, rotating within each
+    // class partition (see laneOrder); with one lane this is lane 0
+    // every cycle (the pre-lane iteration order).
+    const int *order = laneOrder(now);
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        // Latency-class lanes are served first, rotating within each
-        // class partition (see serviceLane); with one lane this is
-        // lane 0 every cycle (the pre-lane iteration order).
         for (int k = 0; k < lanes(); ++k) {
-            const int lane = serviceLane(now, k);
+            const int lane = order[k];
             OutputState &output = outputs_[laneIdx(p, lane)];
             if (output.mode != OutputState::Mode::Bypass)
                 continue;
@@ -491,7 +492,7 @@ CentralBufferSwitch::cqWrite(Cycle now)
 {
     // One chunk write per cycle: round-robin over inputs that have a
     // full chunk staged (or the complete tail) to keep chunks packed.
-    std::vector<int> eligible;
+    eligible_.clear();
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::CentralQueue)
@@ -510,9 +511,9 @@ CentralBufferSwitch::cqWrite(Cycle now)
         // queue would block the very readers whose recycled chunks
         // the waiting worm needs; the up-phase headroom partition is
         // what guarantees forward progress.
-        eligible.push_back(static_cast<int>(i));
+        eligible_.push_back(static_cast<int>(i));
     }
-    const int winner = writeArb_.grantFrom(eligible);
+    const int winner = writeArb_.grant(eligible_);
     if (winner < 0)
         return;
 
@@ -573,7 +574,7 @@ CentralBufferSwitch::cqRead(Cycle now)
     (void)now;
     // One chunk read per cycle: round-robin over streaming outputs
     // whose staging FIFO can take a chunk.
-    std::vector<int> eligible;
+    eligible_.clear();
     for (std::size_t o = 0; o < outputs_.size(); ++o) {
         OutputState &output = outputs_[o];
         if (output.mode != OutputState::Mode::Stream)
@@ -586,9 +587,9 @@ CentralBufferSwitch::cqRead(Cycle now)
         if (cq_.readable(output.current.entry, output.current.reader) <=
             0)
             continue;
-        eligible.push_back(static_cast<int>(o));
+        eligible_.push_back(static_cast<int>(o));
     }
-    const int winner = readArb_.grantFrom(eligible);
+    const int winner = readArb_.grant(eligible_);
     if (winner < 0)
         return;
     OutputState &output = outputs_[static_cast<std::size_t>(winner)];
@@ -604,10 +605,11 @@ CentralBufferSwitch::cqRead(Cycle now)
 void
 CentralBufferSwitch::streamTransmit(Cycle now)
 {
+    // Same lane service order as bypassTransmit (lane 0 at L=1).
+    const int *order = laneOrder(now);
     for (std::size_t p = 0; p < outs_.size(); ++p) {
-        // Same lane service order as bypassTransmit (lane 0 at L=1).
         for (int k = 0; k < lanes(); ++k) {
-            const int lane = serviceLane(now, k);
+            const int lane = order[k];
             OutputState &output = outputs_[laneIdx(p, lane)];
             if (output.mode != OutputState::Mode::Stream ||
                 output.fifoFlits <= 0)

@@ -191,6 +191,8 @@ class CentralBufferSwitch : public SwitchBase
     std::vector<OutputState> outputs_;
     RoundRobinArbiter writeArb_;
     RoundRobinArbiter readArb_;
+    /** Requester scratch of cqWrite/cqRead, reused every step. */
+    std::vector<int> eligible_;
     TimeAverage cqOcc_;
 };
 

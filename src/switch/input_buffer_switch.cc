@@ -18,6 +18,7 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
     const auto slots = radix * static_cast<std::size_t>(lanes());
     inputs_.resize(slots);
     outputs_.resize(slots);
+    requests_.resize(slots);
     outputArb_.resize(slots);
     for (auto &arb : outputArb_)
         arb.resize(static_cast<int>(slots));
@@ -27,13 +28,8 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
 bool
 InputBufferSwitch::fullyGranted(const InputState &input)
 {
-    if (!input.admitted || input.upPending || input.branches.empty())
-        return false;
-    for (const Branch &branch : input.branches) {
-        if (!branch.granted)
-            return false;
-    }
-    return true;
+    return input.admitted && !input.upPending &&
+           !input.branches.empty() && input.ungranted == 0;
 }
 
 bool
@@ -149,7 +145,7 @@ InputBufferSwitch::admitHeads(Cycle now)
 {
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         InputState &input = inputs_[i];
-        if (input.admitted)
+        if (input.admitted || fifos_[i].packets.empty())
             continue;
         const RouteDecision *route = decodeHead(i, now);
         if (route == nullptr)
@@ -195,63 +191,110 @@ InputBufferSwitch::admitHeads(Cycle now)
             }
             noteRouted(*pkt, route->branchCount(), now);
         }
+        input.ungranted = static_cast<int>(input.branches.size());
         fifo.route.reset();
     }
 }
 
 void
+InputBufferSwitch::collectRequests()
+{
+    for (const int o : requested_)
+        requests_[static_cast<std::size_t>(o)].clear();
+    requested_.clear();
+    // Busy outputs stay busy for the whole arbitration (an output is
+    // bound only when its own turn comes), so filtering them here is
+    // the same as skipping them at their turn.
+    const auto freeOutput = [this](PortId port, int lane) {
+        const auto p = static_cast<std::size_t>(port);
+        return !outputs_[laneIdx(p, lane)].busy() &&
+               outs_[p].connected();
+    };
+    const auto add = [this](std::size_t o, int input, int branch) {
+        std::vector<Request> &list = requests_[o];
+        if (list.empty())
+            requested_.push_back(static_cast<int>(o));
+        list.push_back(Request{input, branch});
+    };
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+        const InputState &input = inputs_[i];
+        if (!input.admitted || (input.ungranted == 0 && !input.upPending))
+            continue;
+        // An input requests only the outputs on its worm's lane.
+        const int lane = fifos_[i].outLane;
+        const int in = static_cast<int>(i);
+        for (std::size_t b = 0; b < input.branches.size(); ++b) {
+            const Branch &branch = input.branches[b];
+            if (branch.granted || branch.done() ||
+                !freeOutput(branch.port, lane))
+                continue;
+            const std::size_t o =
+                laneIdx(static_cast<std::size_t>(branch.port), lane);
+            // The last ungranted branch on a port stands for the input.
+            std::vector<Request> &list = requests_[o];
+            if (!list.empty() && list.back().input == in)
+                list.back().branch = static_cast<int>(b);
+            else
+                add(o, in, static_cast<int>(b));
+        }
+        if (!input.upPending)
+            continue;
+        for (PortId cand : input.upCandidates) {
+            if (!freeOutput(cand, lane))
+                continue;
+            const std::size_t o =
+                laneIdx(static_cast<std::size_t>(cand), lane);
+            // A concrete branch on the same port wins over the up
+            // request (and a repeated candidate requests once).
+            const std::vector<Request> &list = requests_[o];
+            if (list.empty() || list.back().input != in)
+                add(o, in, kUpRequest);
+        }
+    }
+    std::sort(requested_.begin(), requested_.end());
+}
+
+void
 InputBufferSwitch::arbitrate()
 {
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        const std::size_t port = o / static_cast<std::size_t>(lanes());
-        const int lane = static_cast<int>(
-            o % static_cast<std::size_t>(lanes()));
-        if (outputs_[o].busy() || !outs_[port].connected())
-            continue;
-        // Gather inputs requesting this (output, lane): a concrete
-        // ungranted branch on this lane, or an unresolved adaptive
-        // up-port request whose worm was allocated this lane.
-        std::vector<bool> request(inputs_.size(), false);
-        std::vector<int> branchOf(inputs_.size(), -1);
-        for (std::size_t i = 0; i < inputs_.size(); ++i) {
-            InputState &input = inputs_[i];
-            if (!input.admitted || fifos_[i].outLane != lane)
-                continue;
-            for (std::size_t b = 0; b < input.branches.size(); ++b) {
-                const Branch &branch = input.branches[b];
-                if (!branch.granted && !branch.done() &&
-                    branch.port == static_cast<PortId>(port)) {
-                    request[i] = true;
-                    branchOf[i] = static_cast<int>(b);
-                }
-            }
-            if (!request[i] && input.upPending &&
-                std::find(input.upCandidates.begin(),
-                          input.upCandidates.end(),
-                          static_cast<PortId>(port)) !=
-                    input.upCandidates.end()) {
-                request[i] = true;
-                branchOf[i] = -2; // up request marker
-            }
+    // Outputs are served in ascending (port, lane) order; only those
+    // with requesters can grant anything.
+    collectRequests();
+    for (const int out : requested_) {
+        const auto o = static_cast<std::size_t>(out);
+        const std::vector<Request> &list = requests_[o];
+        candidates_.clear();
+        for (const Request &req : list) {
+            // An up request already won at an earlier output this
+            // cycle has been withdrawn.
+            if (req.branch != kUpRequest ||
+                inputs_[static_cast<std::size_t>(req.input)].upPending)
+                candidates_.push_back(req.input);
         }
-
-        const int winner = outputArb_[o].grant(request);
+        const int winner = outputArb_[o].grant(candidates_);
         if (winner < 0)
             continue;
-        InputState &input = inputs_[static_cast<std::size_t>(winner)];
-        int branch_idx = branchOf[static_cast<std::size_t>(winner)];
-        if (branch_idx == -2) {
+        const auto in = static_cast<std::size_t>(winner);
+        InputState &input = inputs_[in];
+        const auto won =
+            std::find_if(list.begin(), list.end(),
+                         [winner](const Request &req) {
+                             return req.input == winner;
+                         });
+        int branch_idx = won->branch;
+        if (branch_idx == kUpRequest) {
             // Adaptive up request: materialize the up branch here.
-            const PacketPtr &pkt =
-                fifos_[static_cast<std::size_t>(winner)].packets.front().pkt;
+            const PacketPtr &pkt = fifos_[in].packets.front().pkt;
+            const auto port = static_cast<PortId>(
+                o / static_cast<std::size_t>(lanes()));
             input.branches.push_back(
-                Branch{static_cast<PortId>(port),
-                       pruneBranch(pkt, input.upDests), 0, true});
+                Branch{port, pruneBranch(pkt, input.upDests), 0, true});
             input.upPending = false;
             branch_idx = static_cast<int>(input.branches.size()) - 1;
         } else {
             input.branches[static_cast<std::size_t>(branch_idx)]
                 .granted = true;
+            --input.ungranted;
         }
         outputs_[o].boundInput = winner;
         outputs_[o].boundBranch = branch_idx;
@@ -261,12 +304,13 @@ InputBufferSwitch::arbitrate()
 void
 InputBufferSwitch::transmit(Cycle now)
 {
+    // Latency-class lanes are served first, rotating within each
+    // class partition (see laneOrder); with one lane this is lane 0
+    // every cycle (the pre-lane iteration order).
+    const int *order = laneOrder(now);
     for (std::size_t port = 0; port < outs_.size(); ++port) {
-        // Latency-class lanes are served first, rotating within each
-        // class partition (see serviceLane); with one lane this is
-        // lane 0 every cycle (the pre-lane iteration order).
         for (int k = 0; k < lanes(); ++k) {
-            const int lane = serviceLane(now, k);
+            const int lane = order[k];
             OutputState &output = outputs_[laneIdx(port, lane)];
             if (!output.busy())
                 continue;
@@ -298,59 +342,45 @@ InputBufferSwitch::arbitrateSync()
 {
     // All-or-nothing acquisition (no hold-and-wait): an input gets
     // every output (port, lane) slot its head packet needs in one
-    // shot, or none. Inputs are served in round-robin order for
-    // fairness.
-    std::vector<bool> ready(inputs_.size(), false);
+    // shot, or none. Every waiting input tries once per cycle, in
+    // round-robin order for fairness.
+    candidates_.clear();
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         const InputState &input = inputs_[i];
-        if (!input.admitted)
-            continue;
-        bool wants = input.upPending;
-        for (const Branch &branch : input.branches)
-            wants = wants || !branch.granted;
-        ready[i] = wants;
+        if (input.admitted && (input.upPending || input.ungranted > 0))
+            candidates_.push_back(static_cast<int>(i));
     }
 
-    // Try every waiting input once, rotating priority.
-    for (std::size_t attempt = 0; attempt < inputs_.size(); ++attempt) {
-        const int i = syncArb_.grant(ready);
-        if (i < 0)
-            return;
-        ready[static_cast<std::size_t>(i)] = false;
+    while (!candidates_.empty()) {
+        const int i = syncArb_.grant(candidates_);
+        candidates_.erase(
+            std::find(candidates_.begin(), candidates_.end(), i));
         InputState &input = inputs_[static_cast<std::size_t>(i)];
         const int lane = fifos_[static_cast<std::size_t>(i)].outLane;
+        const auto busy = [&](PortId port) {
+            return outputs_[laneIdx(static_cast<std::size_t>(port), lane)]
+                .busy();
+        };
 
-        // Collect the full port set: ungranted branches plus, if
+        // The full port set is the ungranted branches plus, if
         // unresolved, one free up candidate — all on the worm's lane.
-        std::vector<PortId> needed;
-        for (const Branch &branch : input.branches) {
-            if (!branch.granted)
-                needed.push_back(branch.port);
-        }
         PortId up_choice = kInvalidPort;
         if (input.upPending) {
             for (PortId cand : input.upCandidates) {
-                if (!outputs_[laneIdx(static_cast<std::size_t>(cand),
-                                      lane)]
-                         .busy()) {
+                if (!busy(cand)) {
                     up_choice = cand;
                     break;
                 }
             }
             if (up_choice == kInvalidPort)
                 continue; // no free up port: acquire nothing
-            needed.push_back(up_choice);
         }
-
-        bool all_free = true;
-        for (PortId port : needed) {
-            if (outputs_[laneIdx(static_cast<std::size_t>(port), lane)]
-                    .busy()) {
-                all_free = false;
-                break;
-            }
-        }
-        if (!all_free || needed.empty())
+        const bool all_free = std::none_of(
+            input.branches.begin(), input.branches.end(),
+            [&](const Branch &branch) {
+                return !branch.granted && busy(branch.port);
+            });
+        if (!all_free)
             continue;
 
         // Commit: bind every port.
@@ -371,6 +401,7 @@ InputBufferSwitch::arbitrateSync()
             output.boundInput = i;
             output.boundBranch = static_cast<int>(b);
         }
+        input.ungranted = 0;
     }
 }
 
@@ -475,6 +506,7 @@ InputBufferSwitch::release(Cycle now)
             input.admitted = false;
             input.branches.clear();
             input.upPending = false;
+            input.ungranted = 0;
             input.released = 0;
         }
     }

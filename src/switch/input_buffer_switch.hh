@@ -99,6 +99,8 @@ class InputBufferSwitch : public SwitchBase
         bool admitted = false;
         /** Head packet still needs an up port to be granted. */
         bool upPending = false;
+        /** Branches still waiting for their output (port, lane). */
+        int ungranted = 0;
         std::vector<PortId> upCandidates;
         DestSet upDests{0};
         std::vector<Branch> branches;
@@ -114,10 +116,30 @@ class InputBufferSwitch : public SwitchBase
         bool busy() const { return boundInput >= 0; }
     };
 
+    /** Request::branch of an unresolved adaptive up-port request. */
+    static constexpr int kUpRequest = -1;
+
+    /** One input's request for a free output (port, lane): its
+     *  ungranted branch on that port, or its adaptive up request. */
+    struct Request
+    {
+        int input = -1;
+        /** Index into InputState::branches, or kUpRequest. */
+        int branch = kUpRequest;
+    };
+
     /** Decode and admit input heads: set up their branches. */
     void admitHeads(Cycle now);
     /** Adaptive lane cost: required output (port, lane) slots busy. */
     int laneCost(const RouteDecision &route, int lane) const;
+    /**
+     * Build this step's requester list of every free, connected
+     * output (port, lane), in ascending input order, and the ascending
+     * list of outputs that have one. Only admitted inputs with an
+     * ungranted branch or a pending up request contribute.
+     */
+    void collectRequests();
+    /** Asynchronous replication: round-robin each requested output. */
     void arbitrate();
     void transmit(Cycle now);
     /** Synchronous replication: all-or-nothing port acquisition. */
@@ -135,6 +157,12 @@ class InputBufferSwitch : public SwitchBase
     std::vector<OutputState> outputs_;
     std::vector<RoundRobinArbiter> outputArb_;
     RoundRobinArbiter syncArb_;
+    /** Per-output requester lists (laneIdx-flattened), outputs with
+     *  requesters, and the arbiter's candidate list: scratch rebuilt
+     *  every step, kept to reuse its storage. */
+    std::vector<std::vector<Request>> requests_;
+    std::vector<int> requested_;
+    std::vector<int> candidates_;
 };
 
 } // namespace mdw

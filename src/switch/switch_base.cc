@@ -34,8 +34,8 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
       rng_(Rng(params.seed).fork(static_cast<std::uint64_t>(id) + 17))
 {
     MDW_ASSERT(routing != nullptr, "switch %d without routing", id);
-    MDW_ASSERT(params.lanes >= 1, "switch %d with %d lanes", id,
-               params.lanes);
+    MDW_ASSERT(params.lanes >= 1 && params.lanes <= kMaxLanes,
+               "switch %d with %d lanes", id, params.lanes);
     MDW_ASSERT(fifoFlits > 0, "switch %d input FIFO must be > 0", id);
     for (InputFifo &fifo : fifos_)
         fifo.freeSlots = fifoFlits;
@@ -151,6 +151,7 @@ SwitchBase::intake(Cycle now)
                    "full FIFO (credit protocol violated)",
                    id_, i, flit.lane);
         --fifo.freeSlots;
+        ++occupiedFlits_;
         stats_.flitsIn.inc();
         if (flit.isHead()) {
             // Decode needs the whole header resident at once.
@@ -192,6 +193,7 @@ SwitchBase::fabricateFailedArrivals()
             continue;
         poisonPacket(*rec.pkt);
         --fifo.freeSlots;
+        ++occupiedFlits_;
         ++rec.arrived;
         stats_.flitsIn.inc();
         if (sim_)
@@ -238,6 +240,7 @@ void
 SwitchBase::returnCredits(std::size_t i, int n, Cycle now)
 {
     fifos_[i].freeSlots += n;
+    occupiedFlits_ -= n;
     const InPort &port = ins_[i / static_cast<std::size_t>(lanes())];
     if (port.creditOut)
         port.creditOut->send(
@@ -326,10 +329,7 @@ SwitchBase::sampleFifoOccupancy(Cycle now)
 {
     if (lanes() == 1)
         return;
-    int occupied = 0;
-    for (const InputFifo &fifo : fifos_)
-        occupied += fifoFlits_ - fifo.freeSlots;
-    laneOcc_.update(static_cast<double>(occupied), now);
+    laneOcc_.update(static_cast<double>(occupiedFlits_), now);
 }
 
 int
@@ -425,22 +425,23 @@ SwitchBase::canStartPacket(const OutPort &port, int lane,
     return credits >= 1;
 }
 
-int
-SwitchBase::serviceLane(Cycle now, int slot) const
+void
+SwitchBase::orderLanes(Cycle now)
 {
     const int total = params_.lanes;
-    if (total == 1)
-        return 0;
     // Class 1 owns the upper partition and is served first.
     const int base = laneClassBase(total, 1);
     const int latency = total - base;
-    if (slot < latency)
-        return base +
-               static_cast<int>((now + static_cast<Cycle>(slot)) %
-                                static_cast<Cycle>(latency));
-    slot -= latency;
-    return static_cast<int>((now + static_cast<Cycle>(slot)) %
-                            static_cast<Cycle>(base));
+    const auto rotate = [now](int k, int size) {
+        return static_cast<int>((now + static_cast<Cycle>(k)) %
+                                static_cast<Cycle>(size));
+    };
+    std::size_t slot = 0;
+    for (int k = 0; k < latency; ++k)
+        laneOrder_[slot++] = base + rotate(k, latency);
+    for (int k = 0; k < base; ++k)
+        laneOrder_[slot++] = rotate(k, base);
+    laneOrderAt_ = now;
 }
 
 int

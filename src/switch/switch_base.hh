@@ -12,6 +12,7 @@
 #ifndef MDW_SWITCH_SWITCH_BASE_HH
 #define MDW_SWITCH_SWITCH_BASE_HH
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -361,16 +362,24 @@ class SwitchBase : public Component
                   const std::function<int(int)> &laneCost) const;
 
     /**
-     * The @p slot'th lane in a transmit port's service order this
-     * cycle. The latency-sensitive partition (class 1) is served
-     * before the bulk partition so a tagged worm never waits behind
-     * background flits at the link mux; within each partition the
-     * start rotates with the cycle for fairness. A lane can still
-     * only send when the link is free, so bulk lanes drain whenever
-     * the latency partition is idle — priority, not starvation.
-     * With lanes == 1 every slot is lane 0 (single-lane identity).
+     * This cycle's transmit service order: element k is the k'th lane
+     * every output port offers the link to, for k < lanes(). The
+     * latency-sensitive partition (class 1) is served before the
+     * bulk partition so a tagged worm never waits behind background
+     * flits at the link mux; within each partition the start rotates
+     * with the cycle for fairness. A lane can still only send when
+     * the link is free, so bulk lanes drain whenever the latency
+     * partition is idle — priority, not starvation. Computed once per
+     * cycle and shared by every port and transmit stage; with
+     * lanes == 1 it is {0} every cycle and costs nothing.
      */
-    int serviceLane(Cycle now, int slot) const;
+    const int *
+    laneOrder(Cycle now)
+    {
+        if (params_.lanes > 1 && now != laneOrderAt_)
+            orderLanes(now);
+        return laneOrder_.data();
+    }
 
     /**
      * Earliest in-flight arrival on any attached link: data flits on
@@ -453,6 +462,17 @@ class SwitchBase : public Component
     std::unordered_set<PacketId> *poisoned_ = nullptr;
     /** Shared worm tracer; null while tracing is off. */
     WormTracer *tracer_ = nullptr;
+
+  private:
+    /** Fill laneOrder_ for cycle @p now (multi-lane only). */
+    void orderLanes(Cycle now);
+
+    /** Flits buffered across every input FIFO, kept by the stages
+     *  that fill and free FIFO slots. */
+    int occupiedFlits_ = 0;
+    /** laneOrder()'s cache: the order and the cycle it is for. */
+    std::array<int, kMaxLanes> laneOrder_{};
+    Cycle laneOrderAt_ = kNoCycle;
 };
 
 } // namespace mdw

@@ -3,7 +3,10 @@
  * Unit tests for round-robin arbitration.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,21 +18,21 @@ namespace {
 TEST(RoundRobinArbiter, GrantsNothingWithoutRequests)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({false, false, false, false}), -1);
-    EXPECT_EQ(arb.grantFrom({}), -1);
+    EXPECT_EQ(arb.grant({}), -1);
+    EXPECT_EQ(arb.totalGrants(), 0u);
 }
 
 TEST(RoundRobinArbiter, SingleRequester)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({false, false, true, false}), 2);
-    EXPECT_EQ(arb.grant({false, false, true, false}), 2);
+    EXPECT_EQ(arb.grant({2}), 2);
+    EXPECT_EQ(arb.grant({2}), 2);
 }
 
 TEST(RoundRobinArbiter, RotatesUnderFullContention)
 {
     RoundRobinArbiter arb(3);
-    const std::vector<bool> all{true, true, true};
+    const std::vector<int> all{0, 1, 2};
     EXPECT_EQ(arb.grant(all), 0);
     EXPECT_EQ(arb.grant(all), 1);
     EXPECT_EQ(arb.grant(all), 2);
@@ -40,47 +43,81 @@ TEST(RoundRobinArbiter, IsFairOverTime)
 {
     RoundRobinArbiter arb(4);
     int grants[4] = {};
-    const std::vector<bool> all{true, true, true, true};
+    const std::vector<int> all{0, 1, 2, 3};
     for (int i = 0; i < 400; ++i)
         ++grants[arb.grant(all)];
     for (int g : grants)
         EXPECT_EQ(g, 100);
+    EXPECT_EQ(arb.totalGrants(), 400u);
 }
 
 TEST(RoundRobinArbiter, SkipsIdleRequesters)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 0);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 2);
-    EXPECT_EQ(arb.grant({true, false, true, false}), 0);
+    EXPECT_EQ(arb.grant({0, 2}), 0);
+    EXPECT_EQ(arb.grant({0, 2}), 2);
+    EXPECT_EQ(arb.grant({0, 2}), 0);
 }
 
-TEST(RoundRobinArbiter, GrantFromMatchesGrant)
+// The grant is order-insensitive and equals a brute-force
+// rotating-priority scan: starting after the last grant, walk the
+// indices modulo the size and take the first one requesting. Random
+// request sets over sizes 1..64 exercise the wrap-around (a last
+// grant near the top with only low indices requesting) on every size.
+TEST(RoundRobinArbiter, GrantMatchesRotatingPriorityReference)
 {
-    RoundRobinArbiter a(4), b(4);
-    const std::vector<std::vector<int>> reqs = {
-        {0, 2}, {0, 2}, {1, 3}, {0, 1, 2, 3}, {3}};
-    for (const auto &req : reqs) {
-        std::vector<bool> mask(4, false);
-        for (int r : req)
-            mask[static_cast<std::size_t>(r)] = true;
-        EXPECT_EQ(a.grantFrom(req), b.grant(mask));
+    std::mt19937 rng(20261019u);
+    for (int size = 1; size <= 64; ++size) {
+        RoundRobinArbiter arb(size);
+        int last = -1;
+        std::uint64_t issued = 0;
+        for (int round = 0; round < 200; ++round) {
+            std::vector<int> req;
+            std::vector<bool> mask(static_cast<std::size_t>(size),
+                                   false);
+            // Every fourth round requests only the low half, so the
+            // search must wrap past the top.
+            const int span = round % 4 == 3 ? (size + 1) / 2 : size;
+            for (int r = 0; r < span; ++r) {
+                if (rng() % 3 == 0) {
+                    req.push_back(r);
+                    mask[static_cast<std::size_t>(r)] = true;
+                }
+            }
+            std::shuffle(req.begin(), req.end(), rng);
+
+            int expect = -1;
+            for (int i = 1; i <= size; ++i) {
+                const int idx = (last + i) % size;
+                if (mask[static_cast<std::size_t>(idx)]) {
+                    expect = idx;
+                    break;
+                }
+            }
+            if (expect >= 0) {
+                last = expect;
+                ++issued;
+            }
+            ASSERT_EQ(arb.grant(req), expect)
+                << "size " << size << " round " << round;
+        }
+        EXPECT_EQ(arb.totalGrants(), issued) << "size " << size;
     }
 }
 
 TEST(RoundRobinArbiter, ResizeResetsPriority)
 {
     RoundRobinArbiter arb(2);
-    EXPECT_EQ(arb.grant({true, true}), 0);
+    EXPECT_EQ(arb.grant({0, 1}), 0);
     arb.resize(3);
     EXPECT_EQ(arb.size(), 3);
-    EXPECT_EQ(arb.grant({true, true, true}), 0);
+    EXPECT_EQ(arb.grant({0, 1, 2}), 0);
 }
 
-TEST(RoundRobinArbiterDeath, SizeMismatchPanics)
+TEST(RoundRobinArbiterDeath, OutOfRangeRequesterPanics)
 {
     RoundRobinArbiter arb(2);
-    EXPECT_DEATH((void)arb.grant({true}), "arbiter size");
+    EXPECT_DEATH((void)arb.grant({2}), "out of range");
 }
 
 // --- Lane partitioning ---------------------------------------------
@@ -124,13 +161,12 @@ TEST(LanePartition, FlattenedArbiterEmbedsSingleLaneArbiter)
     RoundRobinArbiter flat(ports * lanes), narrow(ports);
     std::mt19937 rng(7);
     for (int round = 0; round < 200; ++round) {
-        std::vector<bool> req(static_cast<std::size_t>(ports), false);
-        std::vector<bool> wide(
-            static_cast<std::size_t>(ports * lanes), false);
+        std::vector<int> req, wide;
         for (int p = 0; p < ports; ++p) {
-            const bool want = (rng() & 1) != 0;
-            req[static_cast<std::size_t>(p)] = want;
-            wide[static_cast<std::size_t>(p * lanes)] = want; // lane 0
+            if ((rng() & 1) != 0) {
+                req.push_back(p);
+                wide.push_back(p * lanes); // lane 0
+            }
         }
         const int got = flat.grant(wide);
         const int ref = narrow.grant(req);
@@ -148,7 +184,7 @@ TEST(LanePartition, NeitherClassStarvesUnderContention)
     RoundRobinArbiter arb(lanes);
     int grants[2] = {};
     for (int i = 0; i < 100; ++i)
-        ++grants[arb.grant({true, true})];
+        ++grants[arb.grant({0, 1})];
     EXPECT_EQ(grants[0], 50);
     EXPECT_EQ(grants[1], 50);
 }

@@ -340,9 +340,8 @@ TEST(LaneDiff, SingleLaneMatchesDefaultBitIdentical)
 {
     // This test pins lanes=1 by design; the suite-wide MDW_LANES
     // override (the CI lanes leg) would force every run multi-lane
-    // and void the comparison. Each ctest entry is its own process,
-    // so dropping it here cannot leak into other tests.
-    unsetenv("MDW_LANES");
+    // and void the comparison.
+    const ScopedEnv lanesEnv("MDW_LANES", nullptr);
     const char *workload =
         "workload.pattern=bimodal workload.mcastFraction=0.1 "
         "workload.mcastClass=1 workload.load=0.15";

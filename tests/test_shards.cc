@@ -289,15 +289,13 @@ TEST(ShardedNetwork, WorkerPoolStartsAtFirstCycle)
 
 TEST(ShardedNetwork, EnvOverrideForcesShardCount)
 {
-    ::setenv("MDW_SHARDS", "2", 1);
-    ::setenv("MDW_SHARD_THREADS", "1", 1);
+    const ScopedEnv shardsEnv("MDW_SHARDS", "2");
+    const ScopedEnv threadsEnv("MDW_SHARD_THREADS", "1");
     NetworkConfig config = defaultNetwork();
     config.shards = 1;
     Network net(config);
     EXPECT_EQ(net.effectiveShards(), 2u);
     EXPECT_EQ(net.config().shards, 2u);
-    ::unsetenv("MDW_SHARDS");
-    ::unsetenv("MDW_SHARD_THREADS");
 }
 
 TEST(ShardedNetwork, PerShardTotalsRollUpToFlatTotals)
@@ -413,17 +411,11 @@ TEST(ShardedNetwork, RequireSerialDissolvesSharding)
 {
     // Pin the shard count: the CI shards job runs the whole suite
     // under MDW_SHARDS=4, which would otherwise override config.
-    const char *oldShards = ::getenv("MDW_SHARDS");
-    const std::string saved = oldShards != nullptr ? oldShards : "";
-    ::setenv("MDW_SHARDS", "2", 1);
+    const ScopedEnv shardsEnv("MDW_SHARDS", "2");
     NetworkConfig config = defaultNetwork();
     config.fastPath = true;
     config.shards = 2;
     Network net(config);
-    if (oldShards != nullptr)
-        ::setenv("MDW_SHARDS", saved.c_str(), 1);
-    else
-        ::unsetenv("MDW_SHARDS");
     ASSERT_EQ(net.effectiveShards(), 2u);
     net.requireSerial("test subsystem");
     EXPECT_EQ(net.effectiveShards(), 0u);
