@@ -14,11 +14,12 @@
  *               case sharding exists for; the per-case results are
  *               verified bit-identical to the flat run.
  *
- * Results land in BENCH_shards.json together with the host's
+ * Results land in BENCH_shards.json (or out=) together with the host's
  * hardware thread count — speedups are only meaningful (and only
  * asserted under check=1) when the hardware can actually run the
  * shards concurrently; on smaller hosts the numbers are recorded
- * as measured, not fabricated.
+ * as measured, not fabricated. A quick=1 run writes no file unless
+ * out= names one, so a smoke run leaves the committed record alone.
  *
  * With report=1 the mdw-report stream on stderr includes the
  * per-shard "shards" record, which validate_report.py cross-checks
@@ -92,7 +93,8 @@ main(int argc, char **argv)
     const bool report = cli.getBool("report", false);
     const std::size_t maxHosts = static_cast<std::size_t>(
         cli.getU64("maxHosts", quick ? 1024 : 65536));
-    const std::string out = cli.getString("out", "BENCH_shards.json");
+    const std::string out =
+        cli.getString("out", quick ? "" : "BENCH_shards.json");
 
     const unsigned hwThreads =
         std::max(1u, std::thread::hardware_concurrency());
@@ -259,7 +261,9 @@ main(int argc, char **argv)
             }
         }
 
-        if (FILE *json = std::fopen(out.c_str(), "w")) {
+        if (out.empty()) {
+            // Quick run without out=: nothing to record.
+        } else if (FILE *json = std::fopen(out.c_str(), "w")) {
             std::fprintf(
                 json,
                 "{\n  \"schema\": \"mdw-bench/1\",\n"

@@ -496,10 +496,11 @@ Network::setupSharding()
         sim_.componentCount(), static_cast<std::uint32_t>(shards));
     for (std::size_t s = 0; s < switches_.size(); ++s)
         shardOf[s] = shardPlan_.switchShard[s];
-    // Any channel whose *sender* is a parallel switch and whose
-    // receiver lives in a different bucket must defer its pushes to
-    // the barrier: cross-shard switch links (both data and the
-    // reverse credits) and every switch->NIC direction.
+    // Every bucket steps concurrently with the others, so any channel
+    // whose ends live in different buckets must defer its pushes to
+    // the receiver's mailbox drain: cross-shard switch links and both
+    // directions between a switch and its NICs (data and the reverse
+    // credits alike).
     auto shardOfEnd = [&](int sw) {
         return sw < 0 ? static_cast<std::uint32_t>(shards)
                       : shardPlan_.switchShard[static_cast<std::size_t>(
@@ -507,16 +508,18 @@ Network::setupSharding()
     };
     for (std::size_t i = 0; i < flitChannels_.size(); ++i) {
         const auto [src, snk] = flitEnds_[i];
-        if (src < 0 || shardOfEnd(src) == shardOfEnd(snk))
+        if (shardOfEnd(src) == shardOfEnd(snk))
             continue;
-        flitChannels_[i]->setBoundary(&sim_, shardOfEnd(src));
+        flitChannels_[i]->setBoundary(&sim_, shardOfEnd(src),
+                                      shardOfEnd(snk));
         boundaryFlit_.push_back(flitChannels_[i].get());
     }
     for (std::size_t i = 0; i < creditChannels_.size(); ++i) {
         const auto [src, snk] = creditEnds_[i];
-        if (src < 0 || shardOfEnd(src) == shardOfEnd(snk))
+        if (shardOfEnd(src) == shardOfEnd(snk))
             continue;
-        creditChannels_[i]->setBoundary(&sim_, shardOfEnd(src));
+        creditChannels_[i]->setBoundary(&sim_, shardOfEnd(src),
+                                        shardOfEnd(snk));
         boundaryCredit_.push_back(creditChannels_[i].get());
     }
     if (telemetry_.tracer() != nullptr)
@@ -534,9 +537,9 @@ Network::requireSerial(const std::string &why)
     sim_.setSharding(
         std::vector<std::uint32_t>(sim_.componentCount(), 0), 0, 0);
     for (Channel<Flit> *ch : boundaryFlit_)
-        ch->setBoundary(nullptr, 0);
+        ch->setBoundary(nullptr, 0, 0);
     for (CreditChannel *ch : boundaryCredit_)
-        ch->setBoundary(nullptr, 0);
+        ch->setBoundary(nullptr, 0, 0);
     boundaryFlit_.clear();
     boundaryCredit_.clear();
     if (telemetry_.tracer() != nullptr)

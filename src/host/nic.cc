@@ -289,6 +289,7 @@ Nic::enqueueJob(PacketDesc proto)
     if (txFailed_)
         return; // dead up-link: nothing can leave this host
     SendJob job;
+    job.lane = injectLane(proto.trafficClass);
     job.proto = std::move(proto);
     txQueue_.push_back(std::move(job));
     // Every queue entry point funnels through here, so this one wake
@@ -356,8 +357,7 @@ Nic::nextWork(Cycle now)
         std::array<bool, kMaxLanes> seen{};
         int unseen = injectLanes_;
         for (const SendJob &job : txQueue_) {
-            const std::size_t lane = static_cast<std::size_t>(
-                injectLane(job.proto.trafficClass));
+            const auto lane = static_cast<std::size_t>(job.lane);
             if (seen[lane])
                 continue;
             seen[lane] = true;
@@ -475,8 +475,7 @@ Nic::stepTx(Cycle now)
     int unseen = injectLanes_;
     for (auto it = txQueue_.begin(); it != txQueue_.end() && unseen > 0;
          ++it) {
-        const auto lane = static_cast<std::size_t>(
-            injectLane(it->proto.trafficClass));
+        const auto lane = static_cast<std::size_t>(it->lane);
         if (heads[lane] == txQueue_.end()) {
             heads[lane] = it;
             --unseen;

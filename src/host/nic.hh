@@ -241,6 +241,8 @@ class Nic : public Component
     {
         PacketDesc proto;
         PacketPtr pkt;      // created when transfer starts
+        /** Injection lane, fixed by the traffic class at queue time. */
+        int lane = 0;
         int sent = 0;
         bool prepared = false;
         Cycle readyAt = 0;

@@ -26,16 +26,19 @@ class BoundaryRegistrar
   public:
     virtual ~BoundaryRegistrar() = default;
 
-    /** Called (once per dirty episode) by the sending shard. */
+    /** Called (once per dirty episode) by the sending shard; the
+     *  receiver lives in bucket @p dstShard. */
     virtual void boundaryDirty(std::uint32_t srcShard,
+                               std::uint32_t dstShard,
                                BoundaryChannel *channel) = 0;
 };
 
 /**
  * A channel that can run in boundary mode: its sends are buffered into
  * a per-channel mailbox instead of touching the receiver-visible
- * queue, and the simulator drains the mailbox at the cycle barrier (in
- * deterministic shard/registration order) by calling flushBoundary().
+ * queue, and the receiver's thread drains the mailbox after the step
+ * phase (in deterministic shard/registration order) by calling
+ * flushBoundary().
  * This base owns the protocol; a subclass owns only its mailbox.
  */
 class BoundaryChannel
@@ -45,19 +48,24 @@ class BoundaryChannel
 
     /**
      * Switch into boundary mode, reporting to @p registrar as the
-     * sending component's shard @p srcShard. Pass null to revert to
-     * direct delivery. Only legal with the mailbox empty.
+     * sending component's shard @p srcShard; the receiving component
+     * lives in bucket @p dstShard. Pass null to revert to direct
+     * delivery. Only legal with the mailbox empty.
      */
     void
-    setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard)
+    setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard,
+                std::uint32_t dstShard)
     {
         MDW_ASSERT(!dirty_, "boundary mode change with buffered sends");
         registrar_ = registrar;
         srcShard_ = srcShard;
+        dstShard_ = dstShard;
     }
 
     /** Move buffered sends into the receiver-visible queue and apply
-     *  the deferred sink wakes. Returns the number of items moved. */
+     *  the deferred sink wakes. Returns the number of items moved.
+     *  Runs on the thread that steps the receiver, while the sending
+     *  shard is quiescent. */
     virtual std::size_t flushBoundary() = 0;
 
   protected:
@@ -65,14 +73,14 @@ class BoundaryChannel
     bool boundary() const { return registrar_ != nullptr; }
 
     /** Record a buffered send: the first one of a dirty episode
-     *  registers this channel for the barrier flush. */
+     *  registers this channel for the flush. */
     void
     noteBuffered()
     {
         if (dirty_)
             return;
         dirty_ = true;
-        registrar_->boundaryDirty(srcShard_, this);
+        registrar_->boundaryDirty(srcShard_, dstShard_, this);
     }
 
     /** End the dirty episode (flushBoundary() drained the mailbox). */
@@ -81,7 +89,8 @@ class BoundaryChannel
   private:
     BoundaryRegistrar *registrar_ = nullptr;
     std::uint32_t srcShard_ = 0;
-    /** Set by the sending shard's thread, cleared at the barrier. */
+    std::uint32_t dstShard_ = 0;
+    /** Set by the sending shard's thread, cleared by the flush. */
     bool dirty_ = false;
 };
 

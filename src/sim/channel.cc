@@ -19,11 +19,11 @@ CreditChannel::send(int count, Cycle now, int lane)
     const Cycle ready = now + delay_;
     totalSends_ += static_cast<std::uint64_t>(count);
     if (boundary()) {
-        // inFlight_ is charged at the barrier flush, not here: the
-        // sink's shard decrements it in receive(), so the sending
-        // shard must not touch it mid-phase (the two run
-        // concurrently). Quiescence checks only look between cycles,
-        // when every mailbox has already been flushed.
+        // inFlight_ is charged by the flush, not here: the sink's
+        // shard decrements it in receive(), so the sending shard
+        // must not touch it mid-phase (the two run concurrently).
+        // Quiescence checks only look between cycles, when every
+        // mailbox has already been flushed.
         if (!pending_.empty() && pending_.back().ready == ready &&
             pending_.back().lane == lane) {
             pending_.back().count += count;
@@ -40,6 +40,7 @@ CreditChannel::send(int count, Cycle now, int lane)
     } else {
         queue_.push_back(Entry{ready, count, lane});
     }
+    ready_.raise();
     if (sink_ != nullptr)
         sink_->requestWake(ready);
 }
@@ -61,6 +62,7 @@ CreditChannel::flushBoundary()
             queue_.push_back(entry);
     }
     pending_.clear();
+    ready_.raise();
     if (sink_ != nullptr)
         sink_->requestWake(first);
     return moved;
@@ -74,6 +76,8 @@ CreditChannel::receive(Cycle now)
         total += queue_.front().count;
         queue_.pop_front();
     }
+    if (queue_.empty())
+        ready_.lower();
     inFlight_ -= total;
     return total;
 }
@@ -94,6 +98,8 @@ CreditChannel::receiveByLane(Cycle now, std::vector<int> &laneCounts)
         total += front.count;
         queue_.pop_front();
     }
+    if (queue_.empty())
+        ready_.lower();
     inFlight_ -= total;
     return total;
 }

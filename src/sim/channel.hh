@@ -23,6 +23,7 @@
 #include "sim/boundary.hh"
 #include "sim/component.hh"
 #include "sim/logging.hh"
+#include "sim/ready_set.hh"
 #include "sim/types.hh"
 
 namespace mdw {
@@ -62,9 +63,10 @@ class ChannelHook
  * receiver does not (sharded scheduler), the channel is switched into
  * *boundary mode*: send() appends to a channel-local mailbox owned by
  * the sending shard's thread and the simulator moves the mailbox into
- * the receiver-visible queue at the cycle barrier. Because delay >= 1,
- * an item sent at cycle t is never observable at t, so the deferred
- * push is invisible to results.
+ * the receiver-visible queue after the parallel step phase, on the
+ * thread that steps the receiver. Because delay >= 1, an item sent at
+ * cycle t is never observable at t, so the deferred push is invisible
+ * to results.
  */
 template <typename T>
 class Channel : public BoundaryChannel
@@ -110,22 +112,24 @@ class Channel : public BoundaryChannel
             return;
         }
         queue_.push_back(Entry{arrival, std::move(item)});
+        ready_.raise();
         if (sink_ != nullptr)
             sink_->requestWake(arrival);
     }
 
     /** BoundaryChannel::setBoundary; incompatible with a link hook. */
     void
-    setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard)
+    setBoundary(BoundaryRegistrar *registrar, std::uint32_t srcShard,
+                std::uint32_t dstShard)
     {
         MDW_ASSERT(registrar == nullptr || hook_ == nullptr,
                    "channel %s: boundary mode with a link hook",
                    name_.c_str());
-        BoundaryChannel::setBoundary(registrar, srcShard);
+        BoundaryChannel::setBoundary(registrar, srcShard, dstShard);
     }
 
-    // BoundaryChannel: barrier drain (main thread; the sending shard
-    // finished its phase, so pending_ is quiescent).
+    // BoundaryChannel: mailbox drain (the receiver's thread; the
+    // sending shard finished its phase, so pending_ is quiescent).
     std::size_t
     flushBoundary() override
     {
@@ -139,6 +143,7 @@ class Channel : public BoundaryChannel
         for (Entry &entry : pending_)
             queue_.push_back(std::move(entry));
         pending_.clear();
+        ready_.raise();
         if (sink_ != nullptr)
             sink_->requestWake(first);
         return moved;
@@ -163,6 +168,19 @@ class Channel : public BoundaryChannel
      * sleeping when the item lands (fast path only).
      */
     void setWakeSink(Component *sink) { sink_ = sink; }
+
+    /**
+     * Register the receiver's ready bit: set while the receive queue
+     * holds an item (sent, or flushed from the boundary mailbox, and
+     * not yet received), clear once it drains.
+     */
+    void
+    setReadyFlag(ReadyFlag flag)
+    {
+        ready_ = flag;
+        if (!queue_.empty())
+            ready_.raise();
+    }
 
     /** Cycle the oldest in-flight item arrives, or kNoCycle. */
     Cycle
@@ -198,6 +216,8 @@ class Channel : public BoundaryChannel
                    name_.c_str());
         T item = std::move(queue_.front().item);
         queue_.pop_front();
+        if (queue_.empty())
+            ready_.lower();
         if (hook_ != nullptr)
             hook_->onReceive(item);
         return item;
@@ -233,9 +253,10 @@ class Channel : public BoundaryChannel
     bool sentYet_ = false;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
+    ReadyFlag ready_;
     ChannelHook<T> *hook_ = nullptr;
     // Boundary mode: mailbox written only by the sending shard's
-    // thread, drained only at the barrier.
+    // thread, drained only by the flush.
     std::vector<Entry> pending_;
 };
 
@@ -267,7 +288,7 @@ class CreditChannel : public BoundaryChannel
      */
     int receiveByLane(Cycle now, std::vector<int> &laneCounts);
 
-    // BoundaryChannel: barrier drain (main thread).
+    // BoundaryChannel: mailbox drain (the receiver's thread).
     std::size_t flushBoundary() override;
 
     /**
@@ -275,6 +296,15 @@ class CreditChannel : public BoundaryChannel
      * sleeping when the credits land (fast path only).
      */
     void setWakeSink(Component *sink) { sink_ = sink; }
+
+    /** Register the receiver's ready bit (see Channel::setReadyFlag). */
+    void
+    setReadyFlag(ReadyFlag flag)
+    {
+        ready_ = flag;
+        if (!queue_.empty())
+            ready_.raise();
+    }
 
     /** Cycle the oldest in-flight grant arrives, or kNoCycle. */
     Cycle
@@ -305,6 +335,7 @@ class CreditChannel : public BoundaryChannel
     int inFlight_ = 0;
     std::uint64_t totalSends_ = 0;
     Component *sink_ = nullptr;
+    ReadyFlag ready_;
     std::vector<Entry> pending_;
 };
 

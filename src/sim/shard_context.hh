@@ -7,7 +7,7 @@
  * shard-routed facilities (the worm tracer's per-shard rings, the
  * simulator's per-shard progress flags) can file writes under the
  * right shard without taking a lock. Serial contexts — the flat
- * scheduler, the serial phase of a sharded cycle, everything outside
+ * scheduler, the serial bucket of a sharded cycle, everything outside
  * stepping — leave the index at -1 and take the ordinary
  * single-threaded path.
  */

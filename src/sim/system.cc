@@ -22,6 +22,8 @@ Component::requestWakeSlow(Cycle when)
 Simulator::Simulator()
 {
     buckets_.emplace_back();
+    buckets_.back().dirty.resize(1);
+    buckets_.back().receivedFrom.assign(1, 0);
 }
 
 Simulator::~Simulator()
@@ -68,6 +70,10 @@ Simulator::setSharding(std::vector<std::uint32_t> shardOf,
     stopPool();
     bucketOf_ = std::move(shardOf);
     buckets_.assign(parallelShards + 1, Bucket{});
+    for (Bucket &bucket : buckets_) {
+        bucket.dirty.resize(buckets_.size());
+        bucket.receivedFrom.assign(buckets_.size(), 0);
+    }
     for (std::size_t i = 0; i < bucketOf_.size(); ++i) {
         MDW_ASSERT(bucketOf_[i] <= parallelShards,
                    "component %zu mapped to shard %u of %zu", i,
@@ -115,11 +121,13 @@ Simulator::shardStats() const
     if (shards() == 0)
         return stats;
     stats.reserve(buckets_.size());
-    for (const Bucket &bucket : buckets_) {
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        const Bucket &bucket = buckets_[b];
         ShardStat s;
         s.components = bucket.size;
         s.steps = bucket.steps;
-        s.boundarySends = bucket.boundarySends;
+        for (const Bucket &receiver : buckets_)
+            s.boundarySends += receiver.receivedFrom[b];
         s.wallNs = bucket.wallNs;
         stats.push_back(s);
     }
@@ -135,13 +143,13 @@ Simulator::wake(Component *component, Cycle when)
     MDW_ASSERT(idx < components_.size() &&
                    components_[idx] == component,
                "wake for component not registered here");
-    // During the parallel phase a shard may only wake its own
-    // components (cross-shard sends defer their wakes to the
-    // boundary flush).
-    MDW_ASSERT(shardctx::current < 0 ||
-                   bucketOf_[idx] == static_cast<std::uint32_t>(
-                                         shardctx::current),
-               "cross-shard wake of %s during the parallel phase",
+    // During a phase every bucket may only wake its own components
+    // (cross-bucket sends defer their wakes to the mailbox drain).
+    MDW_ASSERT(shardctx::current < 0
+                   ? !concurrent_ || bucketOf_[idx] + 1 == buckets_.size()
+                   : bucketOf_[idx] == static_cast<std::uint32_t>(
+                                           shardctx::current),
+               "cross-bucket wake of %s during a phase",
                component->name().c_str());
     if (component->schedActive_) {
         // Already ticking; the retire pass re-evaluates nextWork()
@@ -217,13 +225,14 @@ Simulator::retireIdle(std::size_t b)
     // cannot change results; the moment the bucket drains below half,
     // probing is exact again so fully-idle systems still deregister
     // completely.
-    // "Contended" from a quarter of the bucket active: drain phases
-    // hover well below half-active while still churning, and exact
-    // per-cycle probing there costs more than the no-op steps it
-    // saves. Below the threshold probing is exact again, so a system
-    // that goes quiescent still deregisters completely the moment its
-    // last components report no work.
-    const bool contended = bucket.size >= 8 &&
+    // "Contended" from a quarter of the bucket (and at least eight
+    // components) active: drain phases hover well below half-active
+    // while still churning, and exact per-cycle probing there costs
+    // more than the no-op steps it saves. Below the threshold probing
+    // is exact again, so a system that goes quiescent still
+    // deregisters completely the moment its last components report
+    // no work, however small its shards are.
+    const bool contended = bucket.runList.size() >= 8 &&
                            bucket.runList.size() * 4 >= bucket.size;
     if (contended && now_ < bucket.retireAt)
         return;
@@ -304,28 +313,44 @@ Simulator::stepBucket(std::size_t b)
 }
 
 void
-Simulator::boundaryDirty(std::uint32_t srcShard,
+Simulator::boundaryDirty(std::uint32_t srcShard, std::uint32_t dstShard,
                          BoundaryChannel *channel)
 {
-    MDW_ASSERT(srcShard < buckets_.size(),
-               "boundary channel on unknown shard %u", srcShard);
-    buckets_[srcShard].dirty.push_back(channel);
+    MDW_ASSERT(srcShard < buckets_.size() && dstShard < buckets_.size(),
+               "boundary channel from shard %u to shard %u", srcShard,
+               dstShard);
+    buckets_[srcShard].dirty[dstShard].push_back(channel);
 }
 
 void
-Simulator::flushBoundaries()
+Simulator::flushInbound(std::size_t dst)
 {
-    // Deterministic drain order: shards in index order, channels in
-    // the order they went dirty (each shard steps sequentially, so
-    // that order is itself deterministic), items in send order.
-    // Results do not depend on this order -- every mailbox feeds its
-    // own channel queue and the wake requests commute -- but a fixed
-    // order keeps internal heap layouts reproducible too.
-    for (Bucket &bucket : buckets_) {
-        for (BoundaryChannel *ch : bucket.dirty)
-            bucket.boundarySends +=
+    // Deterministic drain order: sending shards in index order,
+    // channels in the order they went dirty (each shard steps
+    // sequentially, so that order is itself deterministic), items in
+    // send order. Results do not depend on this order -- every
+    // mailbox feeds its own channel queue and the wake requests
+    // commute -- but a fixed order keeps internal heap layouts
+    // reproducible too.
+    Bucket &receiver = buckets_[dst];
+    for (std::size_t src = 0; src < buckets_.size(); ++src) {
+        std::vector<BoundaryChannel *> &dirty = buckets_[src].dirty[dst];
+        for (BoundaryChannel *ch : dirty)
+            receiver.receivedFrom[src] +=
                 static_cast<std::uint64_t>(ch->flushBoundary());
-        bucket.dirty.clear();
+        dirty.clear();
+    }
+}
+
+void
+Simulator::runBucketPhase(int phase, std::size_t bucket)
+{
+    if (phase == 0) {
+        stepBucket(bucket);
+    } else {
+        flushInbound(bucket);
+        if (fastPath_)
+            retireIdle(bucket);
     }
 }
 
@@ -334,10 +359,7 @@ Simulator::runShardTask(int phase, std::size_t shard)
 {
     const auto start = std::chrono::steady_clock::now();
     shardctx::current = static_cast<int>(shard);
-    if (phase == 0)
-        stepBucket(shard);
-    else
-        retireIdle(shard);
+    runBucketPhase(phase, shard);
     shardctx::current = -1;
     buckets_[shard].wallNs += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -345,30 +367,90 @@ Simulator::runShardTask(int phase, std::size_t shard)
             .count());
 }
 
+namespace {
+
+/** Spin-wait hint to the core (a no-op where there is none). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+} // namespace
+
+template <typename Pred>
 void
-Simulator::runParallelPhase(int phase)
+Simulator::poolAwait(Pred ready)
+{
+    // Phases follow each other with only the main thread's short
+    // bookkeeping (due wakes, events, the progress fold, the
+    // watchdog) in between, so the other side is usually back within
+    // microseconds: spin first, then yield the core, and only block
+    // on the condition variable after a quiet stretch (between runs,
+    // or on an oversubscribed host). Waking a blocked thread costs
+    // tens of microseconds, which at two phases per cycle would
+    // dominate the cycle time.
+    for (int i = 0; i < 256; ++i) {
+        if (ready())
+            return;
+        cpuRelax();
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(500);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (ready())
+            return;
+        std::this_thread::yield();
+    }
+    std::unique_lock<std::mutex> lock(poolMutex_);
+    poolSleepers_.fetch_add(1);
+    poolCv_.wait(lock, ready);
+    poolSleepers_.fetch_sub(1);
+}
+
+void
+Simulator::poolNotify()
+{
+    // The caller published its state change with a seq_cst store; a
+    // waiter registers as a sleeper (under the mutex) before its last
+    // check, so either it sees the change or it is counted here.
+    if (poolSleepers_.load() == 0)
+        return;
+    std::lock_guard<std::mutex> lock(poolMutex_);
+    poolCv_.notify_all();
+}
+
+void
+Simulator::runPhase(int phase)
 {
     const std::size_t shards = buckets_.size() - 1;
-    if (pool_.empty() && poolSize_ > 0)
-        startPool(poolSize_);
-    if (pool_.empty()) {
-        for (std::size_t s = 0; s < shards; ++s)
-            runShardTask(phase, s);
+    if (shards == 0) {
+        runBucketPhase(phase, shards);
         return;
     }
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolPhase_ = phase;
-        poolNextShard_.store(0, std::memory_order_relaxed);
-        poolPending_ = pool_.size();
-        ++poolGeneration_;
+    if (pool_.empty() && poolSize_ > 0)
+        startPool(poolSize_);
+    concurrent_ = true;
+    poolPhase_ = phase;
+    poolNextShard_.store(0, std::memory_order_relaxed);
+    if (!pool_.empty()) {
+        // Workers read the fields above after they see the new
+        // generation.
+        poolPending_.store(pool_.size(), std::memory_order_relaxed);
+        poolGeneration_.fetch_add(1);
+        poolNotify();
     }
-    poolCv_.notify_all();
+    // The main thread owns the serial bucket; it joins the shard
+    // queue once that is done.
+    runBucketPhase(phase, shards);
     std::size_t s;
     while ((s = poolNextShard_.fetch_add(1)) < shards)
         runShardTask(phase, s);
-    std::unique_lock<std::mutex> lock(poolMutex_);
-    poolDoneCv_.wait(lock, [this] { return poolPending_ == 0; });
+    if (!pool_.empty())
+        poolAwait([this] { return poolPending_.load() == 0; });
+    concurrent_ = false;
 }
 
 void
@@ -376,33 +458,26 @@ Simulator::workerLoop()
 {
     std::uint64_t seen = 0;
     for (;;) {
-        int phase;
-        {
-            std::unique_lock<std::mutex> lock(poolMutex_);
-            poolCv_.wait(lock, [&] {
-                return poolExit_ || poolGeneration_ != seen;
-            });
-            if (poolExit_)
-                return;
-            seen = poolGeneration_;
-            phase = poolPhase_;
-        }
+        poolAwait([&] {
+            return poolExit_.load() || poolGeneration_.load() != seen;
+        });
+        if (poolExit_.load())
+            return;
+        seen = poolGeneration_.load();
+        const int phase = poolPhase_;
         const std::size_t shards = buckets_.size() - 1;
         std::size_t s;
         while ((s = poolNextShard_.fetch_add(1)) < shards)
             runShardTask(phase, s);
-        {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            if (--poolPending_ == 0)
-                poolDoneCv_.notify_one();
-        }
+        if (poolPending_.fetch_sub(1) == 1)
+            poolNotify();
     }
 }
 
 void
 Simulator::startPool(unsigned threads)
 {
-    poolExit_ = false;
+    poolExit_.store(false);
     pool_.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)
         pool_.emplace_back([this] { workerLoop(); });
@@ -413,15 +488,12 @@ Simulator::stopPool()
 {
     if (pool_.empty())
         return;
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        poolExit_ = true;
-    }
-    poolCv_.notify_all();
+    poolExit_.store(true);
+    poolNotify();
     for (std::thread &t : pool_)
         t.join();
     pool_.clear();
-    poolExit_ = false;
+    poolExit_.store(false);
 }
 
 void
@@ -431,19 +503,14 @@ Simulator::stepOne()
     for (std::size_t b = 0; b <= serial; ++b)
         wakeDue(b);
     events_.runDue(now_);
-    runParallelPhase(0);
+    runPhase(0);
     for (char &progress : shardProgress_) {
         if (progress) {
             progress = 0;
             lastProgress_ = now_;
         }
     }
-    flushBoundaries();
-    stepBucket(serial);
-    if (fastPath_) {
-        runParallelPhase(1);
-        retireIdle(serial);
-    }
+    runPhase(1);
     checkWatchdog();
     ++now_;
 }

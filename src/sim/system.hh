@@ -34,8 +34,9 @@ struct ShardStat
     std::uint64_t boundarySends = 0;
     /**
      * Wall-clock nanoseconds spent executing the shard's parallel
-     * phases (step + retire). Diagnostic only — identifies partition
-     * imbalance; never feeds back into scheduling or results.
+     * phases (step, then mailbox drain + retire). Diagnostic only —
+     * identifies partition imbalance; never feeds back into
+     * scheduling or results.
      */
     std::uint64_t wallNs = 0;
 };
@@ -54,24 +55,29 @@ struct ShardStat
  *
  *  1. pending wakes that are due join their bucket's tick set;
  *  2. due events fire;
- *  3. parallel phase: shard workers step their shard's ticking
- *     components (in registration order within the shard). Only
- *     components whose step() touches nothing but its own state, its
- *     channels, the tracer, and noteProgress() may live in a parallel
- *     shard (the network puts switches there). Channels that cross a
- *     shard boundary run in boundary mode: sends are buffered into
- *     per-channel mailboxes;
- *  4. barrier: the main thread folds per-shard progress flags and
- *     drains the boundary mailboxes in deterministic (src-shard,
- *     dirty-registration) order. Because every channel imposes >= 1
- *     cycle of delay, nothing sent at cycle t is observable before
- *     t + 1, so the deferred queue pushes are invisible to results;
- *  5. serial phase: everything else (NICs, engines, test components)
- *     is stepped by the main thread in registration order, so
- *     tracker/workload hook sequences are reproduced verbatim;
- *  6. retire passes (idle-skipping only), per shard then serial;
- *  7. the watchdog check;
- *  8. the clock advances.
+ *  3. step phase: every bucket steps its ticking components in
+ *     registration order. The main thread steps the serial bucket
+ *     (NICs, and components registered after the partition), so
+ *     tracker/workload hook sequences are reproduced verbatim, then
+ *     joins the workers stepping the parallel shards (the network
+ *     puts switches there). All of them run at once, so a
+ *     component's step() may touch nothing but its own state, its
+ *     channels, the tracer and noteProgress() -- and, in the serial
+ *     bucket only, the host-side state (tracker, workloads, engines)
+ *     no shard touches. Every channel between two buckets runs in
+ *     boundary mode: sends are buffered into per-channel mailboxes;
+ *  4. the main thread folds per-shard progress flags;
+ *  5. drain phase: every bucket drains the mailboxes addressed to
+ *     it, then (idle-skipping only) runs its retire pass;
+ *  6. the watchdog check;
+ *  7. the clock advances.
+ *
+ * Mailboxes drain in deterministic (src-bucket, dirty-registration)
+ * order on the thread that steps their receivers, so ready bits and
+ * wakes are only ever written by the receiver's own thread. Because
+ * every channel imposes >= 1 cycle of delay, nothing sent at cycle t
+ * is observable before t + 1, so the deferred queue pushes are
+ * invisible to results.
  *
  * Two independent properties shape the loop, and every combination
  * produces bit-identical results:
@@ -176,10 +182,15 @@ class Simulator : public BoundaryRegistrar
     noteProgress()
     {
         const int shard = shardctx::current;
-        if (shard >= 0)
-            shardProgress_[static_cast<std::size_t>(shard)] = 1;
-        else
+        if (shard >= 0) {
+            // Test first: the flags share a cache line, and a store
+            // per moved flit would bounce it between the workers.
+            char &flag = shardProgress_[static_cast<std::size_t>(shard)];
+            if (!flag)
+                flag = 1;
+        } else {
             lastProgress_ = now_;
+        }
     }
 
     /** Cycle of the most recent reported progress. */
@@ -201,7 +212,7 @@ class Simulator : public BoundaryRegistrar
 
     // BoundaryRegistrar: a boundary channel's first buffered send of
     // the current dirty episode (sending shard's thread).
-    void boundaryDirty(std::uint32_t srcShard,
+    void boundaryDirty(std::uint32_t srcShard, std::uint32_t dstShard,
                        BoundaryChannel *channel) override;
 
   private:
@@ -217,21 +228,29 @@ class Simulator : public BoundaryRegistrar
     void retireIdle(std::size_t bucket);
     /** Step one bucket's active components in registration order. */
     void stepBucket(std::size_t bucket);
-    /** Drain every dirty boundary mailbox (main thread, barrier). */
-    void flushBoundaries();
+    /** Drain every dirty mailbox addressed to bucket @p dst, on the
+     *  thread that steps it. */
+    void flushInbound(std::size_t dst);
     /**
      * First cycle in [now_, limit] at which anything can happen, or
      * now_ when the tick set is non-empty (no skipping possible).
      */
     Cycle nextActivity(Cycle limit) const;
 
-    /** Run @p phase over all parallel shards on the worker pool (or
-     *  inline when no pool exists). */
-    void runParallelPhase(int phase);
+    /** Run @p phase (0 = step, 1 = drain + retire) over every
+     *  bucket: the serial one on the main thread, the shards on the
+     *  worker pool (or inline when no pool exists). */
+    void runPhase(int phase);
+    /** One bucket's share of @p phase. */
+    void runBucketPhase(int phase, std::size_t bucket);
     void workerLoop();
     void runShardTask(int phase, std::size_t shard);
     void startPool(unsigned threads);
     void stopPool();
+    /** Wait until @p ready() holds: spin, then yield, then block. */
+    template <typename Pred> void poolAwait(Pred ready);
+    /** Wake blocked poolAwait() callers after a state change. */
+    void poolNotify();
 
     std::vector<Component *> components_;
     EventQueue events_;
@@ -254,9 +273,10 @@ class Simulator : public BoundaryRegistrar
     /**
      * One schedulable partition of the components: buckets
      * [0, shards()) are the parallel shards and the last bucket is the
-     * serial one (the only bucket when unsharded).
+     * serial one (the only bucket when unsharded). Cache-line aligned:
+     * each shard's worker writes its bucket's counters every step.
      */
-    struct Bucket
+    struct alignas(64) Bucket
     {
         /** Sorted indices of components stepped every cycle. */
         std::vector<std::size_t> runList;
@@ -273,15 +293,18 @@ class Simulator : public BoundaryRegistrar
         std::size_t size = 0;
         /** step() calls executed. */
         std::uint64_t steps = 0;
-        /** Items flushed from this bucket's boundary channels. */
-        std::uint64_t boundarySends = 0;
+        /** Items drained into this bucket, per sending bucket. */
+        std::vector<std::uint64_t> receivedFrom;
         /** Wall nanoseconds spent in this bucket's parallel phases. */
         std::uint64_t wallNs = 0;
-        /** Channels with buffered sends awaiting the barrier flush. */
-        std::vector<BoundaryChannel *> dirty;
+        /** This bucket's channels with buffered sends awaiting the
+         *  flush, per receiving bucket. */
+        std::vector<std::vector<BoundaryChannel *>> dirty;
     };
 
     bool fastPath_ = false;
+    /** True while a sharded phase runs (main thread only). */
+    bool concurrent_ = false;
     std::vector<Bucket> buckets_;
     /** Bucket of each component (all 0 when unsharded). */
     std::vector<std::uint32_t> bucketOf_;
@@ -307,14 +330,19 @@ class Simulator : public BoundaryRegistrar
      *  in death tests). */
     unsigned poolSize_ = 0;
     std::vector<std::thread> pool_;
+    /** Guards only the blocking fallback of poolAwait(). */
     std::mutex poolMutex_;
     std::condition_variable poolCv_;
-    std::condition_variable poolDoneCv_;
-    std::uint64_t poolGeneration_ = 0;
+    /** poolAwait() callers blocked on poolCv_. */
+    std::atomic<int> poolSleepers_{0};
+    /** Bumped by the main thread to start a phase. */
+    std::atomic<std::uint64_t> poolGeneration_{0};
+    /** Phase of the current generation (published by the bump). */
     int poolPhase_ = 0;
-    bool poolExit_ = false;
+    std::atomic<bool> poolExit_{false};
     std::atomic<std::size_t> poolNextShard_{0};
-    std::size_t poolPending_ = 0;
+    /** Workers still inside the current phase. */
+    std::atomic<std::size_t> poolPending_{0};
 };
 
 } // namespace mdw

@@ -19,7 +19,10 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
                        ? (cbParams.maxPacketFlits +
                           cbParams.chunkFlits - 1) /
                              cbParams.chunkFlits
-                       : 0})
+                       : 0}),
+      deciding_(fifos_.size()), cqInput_(fifos_.size()),
+      bypass_(fifos_.size()), stream_(fifos_.size()),
+      queued_(fifos_.size())
 {
     MDW_ASSERT(cbParams_.outputFifoFlits >= cbParams_.chunkFlits,
                "output FIFO must hold at least one chunk");
@@ -29,6 +32,43 @@ CentralBufferSwitch::CentralBufferSwitch(std::string name, SwitchId id,
     outputs_.resize(slots);
     writeArb_.resize(static_cast<int>(slots));
     readArb_.resize(static_cast<int>(slots));
+    for (std::size_t i = 0; i < slots; ++i)
+        deciding_.set(i);
+}
+
+void
+CentralBufferSwitch::setInputMode(std::size_t i, InMode mode)
+{
+    inputs_[i].mode = mode;
+    if (mode == InMode::Deciding)
+        deciding_.set(i);
+    else
+        deciding_.reset(i);
+    if (mode == InMode::CentralQueue)
+        cqInput_.set(i);
+    else
+        cqInput_.reset(i);
+}
+
+void
+CentralBufferSwitch::setOutputMode(std::size_t o, OutputState::Mode mode)
+{
+    outputs_[o].mode = mode;
+    if (mode == OutputState::Mode::Bypass)
+        bypass_.set(o);
+    else
+        bypass_.reset(o);
+    if (mode == OutputState::Mode::Stream)
+        stream_.set(o);
+    else
+        stream_.reset(o);
+}
+
+void
+CentralBufferSwitch::enqueue(std::size_t o, QueueItem item)
+{
+    outputs_[o].queue.push_back(std::move(item));
+    queued_.set(o);
 }
 
 int
@@ -107,22 +147,15 @@ Cycle
 CentralBufferSwitch::nextWork(Cycle now)
 {
     // Any buffered state keeps the switch ticking: input FIFOs,
-    // per-output bypass/stream machinery, queued streams, pending
-    // barrier releases, or central-queue residency. (CQ residency also
-    // pins cqOcc_: the time average may only coast while its sampled
-    // value is exactly zero.)
-    if (!fifosEmpty())
-        return now + 1;
-    for (const OutputState &output : outputs_) {
-        if (!output.idle() || !output.queue.empty() ||
-            output.fifoFlits > 0)
-            return now + 1;
-    }
-    if (!barrierEmissions_.empty())
-        return now + 1;
-    if (cq_.entryCount() != 0 || cq_.usedChunks() != 0)
-        return now + 1;
-    return earliestLinkArrival();
+    // per-output bypass/stream machinery (a staged output flit implies
+    // Stream mode), queued streams, pending barrier releases, or
+    // central-queue residency. (CQ residency also pins cqOcc_: the
+    // time average may only coast while its sampled value is exactly
+    // zero.)
+    const bool busy = !fifosEmpty() || bypass_.any() || stream_.any() ||
+                      queued_.any() || !barrierEmissions_.empty() ||
+                      cq_.entryCount() != 0 || cq_.usedChunks() != 0;
+    return busy ? now + 1 : earliestLinkArrival();
 }
 
 void
@@ -190,15 +223,15 @@ CentralBufferSwitch::quiescent(std::string *why) const
 void
 CentralBufferSwitch::drainTombstones(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    occupied_.forEach([&](std::size_t i) {
         InputState &input = inputs_[i];
         if (input.mode != InMode::Tombstone)
-            continue;
+            return;
         const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         const int n = std::min(staged, cbParams_.chunkFlits);
         if (n <= 0)
-            continue;
+            return;
         input.consumed += n;
         returnCredits(i, n, now);
         stats_.tombstonedFlits.inc(static_cast<std::uint64_t>(n));
@@ -206,7 +239,7 @@ CentralBufferSwitch::drainTombstones(Cycle now)
             sim_->noteProgress();
         if (input.consumed == rec.pkt->totalFlits())
             finishHeadPacket(i);
-    }
+    });
 }
 
 void
@@ -234,36 +267,33 @@ CentralBufferSwitch::attachTelemetry(Telemetry &telemetry)
 void
 CentralBufferSwitch::decide(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        InputState &input = inputs_[i];
+    occupied_.forEachAnd(deciding_, [&](std::size_t i) {
         InputFifo &fifo = fifos_[i];
-        if (input.mode != InMode::Deciding || fifo.packets.empty())
-            continue;
         const PacketRecord &rec = fifo.packets.front();
         if (rec.pkt->kind == PacketKind::BarrierArrive) {
             // Combined by the barrier unit, never routed. Absorb the
             // token once it has fully arrived.
             if (rec.arrived == rec.pkt->totalFlits())
                 consumeBarrierToken(i, now);
-            continue;
+            return;
         }
 
         const RouteDecision *route = decodeHead(i, now);
         if (route == nullptr)
-            continue;
+            return;
         if (route->branchCount() == 0) {
             // No routable destination left: swallow the worm here.
-            input.mode = InMode::Tombstone;
-            input.consumed = 0;
+            setInputMode(i, InMode::Tombstone);
+            inputs_[i].consumed = 0;
         } else if (rec.pkt->kind == PacketKind::HwMulticast) {
             decideMulticast(i, *route, now);
         } else {
             decideUnicast(i, *route, now);
         }
         // A head waiting for its chunk reservation keeps the route.
-        if (input.mode != InMode::Deciding)
+        if (inputs_[i].mode != InMode::Deciding)
             fifo.route.reset();
-    }
+    });
 }
 
 void
@@ -271,7 +301,7 @@ CentralBufferSwitch::consumeBarrierToken(std::size_t i, Cycle now)
 {
     const std::size_t port = i / static_cast<std::size_t>(lanes());
     const PacketRecord rec = fifos_[i].packets.front();
-    fifos_[i].packets.pop_front();
+    popHead(i);
     returnCredits(i, rec.pkt->totalFlits(), now);
     barrierTokens_.inc();
     if (sim_)
@@ -312,9 +342,8 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             // traffic, and pinning them keeps the combining tree
             // independent of the lane configuration.
             for (const auto &[port, sub] : route.downBranches) {
-                outputs_[laneIdx(static_cast<std::size_t>(port), 0)]
-                    .queue.push_back(QueueItem{entry, reader++,
-                                               pruneBranch(pkt, sub)});
+                enqueue(laneIdx(static_cast<std::size_t>(port), 0),
+                        QueueItem{entry, reader++, pruneBranch(pkt, sub)});
             }
         } else {
             // Forward one combined token toward the tree parent; it
@@ -334,8 +363,8 @@ CentralBufferSwitch::processBarrierEmissions(Cycle now)
             const PacketPtr pkt = makePacket_(std::move(desc));
             const auto entry = cq_.addUnreserved(pkt, 1);
             cq_.write(entry, pkt->totalFlits());
-            outputs_[laneIdx(static_cast<std::size_t>(emit.upPort), 0)]
-                .queue.push_back(QueueItem{entry, 0, pkt});
+            enqueue(laneIdx(static_cast<std::size_t>(emit.upPort), 0),
+                    QueueItem{entry, 0, pkt});
         }
         barrierEmissions_.pop_front();
         if (sim_)
@@ -372,22 +401,21 @@ CentralBufferSwitch::decideUnicast(std::size_t i,
         branch_pkt = pruneBranch(pkt, route.downBranches.front().second);
     }
 
-    OutputState &output =
-        outputs_[laneIdx(static_cast<std::size_t>(target), lane)];
+    const std::size_t o = laneIdx(static_cast<std::size_t>(target), lane);
+    OutputState &output = outputs_[o];
     noteRouted(*pkt, 1, now);
     input.consumed = 0;
     if (output.idle() && output.queue.empty()) {
         // Claim the bypass crossbar path.
-        output.mode = OutputState::Mode::Bypass;
+        setOutputMode(o, OutputState::Mode::Bypass);
         output.bypassInput = static_cast<int>(i);
         output.sentSeq = 0;
-        input.mode = InMode::Bypass;
+        setInputMode(i, InMode::Bypass);
         input.bypassPkt = std::move(branch_pkt);
     } else {
         input.entry = cq_.addUnreserved(pkt, 1);
-        input.mode = InMode::CentralQueue;
-        output.queue.push_back(QueueItem{input.entry, 0,
-                                         std::move(branch_pkt)});
+        setInputMode(i, InMode::CentralQueue);
+        enqueue(o, QueueItem{input.entry, 0, std::move(branch_pkt)});
     }
 }
 
@@ -444,14 +472,13 @@ CentralBufferSwitch::decideMulticast(std::size_t i,
 
     input.entry =
         cq_.addReserved(pkt, static_cast<int>(branches.size()));
-    input.mode = InMode::CentralQueue;
+    setInputMode(i, InMode::CentralQueue);
     input.consumed = 0;
     noteRouted(*pkt, branches.size(), now);
     for (std::size_t b = 0; b < branches.size(); ++b) {
-        outputs_[laneIdx(static_cast<std::size_t>(branches[b].first),
-                         lane)]
-            .queue.push_back(QueueItem{input.entry, static_cast<int>(b),
-                                       std::move(branches[b].second)});
+        enqueue(laneIdx(static_cast<std::size_t>(branches[b].first), lane),
+                QueueItem{input.entry, static_cast<int>(b),
+                          std::move(branches[b].second)});
     }
 }
 
@@ -461,30 +488,25 @@ CentralBufferSwitch::bypassTransmit(Cycle now)
     // Latency-class lanes are served first, rotating within each
     // class partition (see laneOrder); with one lane this is lane 0
     // every cycle (the pre-lane iteration order).
-    const int *order = laneOrder(now);
-    for (std::size_t p = 0; p < outs_.size(); ++p) {
-        for (int k = 0; k < lanes(); ++k) {
-            const int lane = order[k];
-            OutputState &output = outputs_[laneIdx(p, lane)];
-            if (output.mode != OutputState::Mode::Bypass)
-                continue;
-            const auto in = static_cast<std::size_t>(output.bypassInput);
-            InputState &input = inputs_[in];
-            if (input.consumed >= fifos_[in].packets.front().arrived)
-                continue;
-            if (!sendFlit(p, lane, input.bypassPkt, output.sentSeq, now))
-                continue;
-            ++output.sentSeq;
-            ++input.consumed;
-            returnCredits(in, 1, now);
-            if (output.sentSeq == input.bypassPkt->totalFlits()) {
-                output.mode = OutputState::Mode::Idle;
-                output.bypassInput = -1;
-                output.sentSeq = 0;
-                finishHeadPacket(in);
-            }
+    forEachPortLane(bypass_, now, [&](std::size_t p, int lane) {
+        const std::size_t o = laneIdx(p, lane);
+        OutputState &output = outputs_[o];
+        const auto in = static_cast<std::size_t>(output.bypassInput);
+        InputState &input = inputs_[in];
+        if (input.consumed >= fifos_[in].packets.front().arrived)
+            return;
+        if (!sendFlit(p, lane, input.bypassPkt, output.sentSeq, now))
+            return;
+        ++output.sentSeq;
+        ++input.consumed;
+        returnCredits(in, 1, now);
+        if (output.sentSeq == input.bypassPkt->totalFlits()) {
+            setOutputMode(o, OutputState::Mode::Idle);
+            output.bypassInput = -1;
+            output.sentSeq = 0;
+            finishHeadPacket(in);
         }
-    }
+    });
 }
 
 void
@@ -493,26 +515,24 @@ CentralBufferSwitch::cqWrite(Cycle now)
     // One chunk write per cycle: round-robin over inputs that have a
     // full chunk staged (or the complete tail) to keep chunks packed.
     eligible_.clear();
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        InputState &input = inputs_[i];
-        if (input.mode != InMode::CentralQueue)
-            continue;
+    cqInput_.forEach([&](std::size_t i) {
+        const InputState &input = inputs_[i];
         const PacketRecord &rec = fifos_[i].packets.front();
         const int staged = rec.arrived - input.consumed;
         if (staged <= 0)
-            continue;
+            return;
         const bool tail_in = rec.arrived == rec.pkt->totalFlits();
         if (staged < cbParams_.chunkFlits && !tail_in)
-            continue;
+            return;
         if (cq_.writable(input.entry) <= 0)
-            continue; // central queue full (unicast path only)
+            return; // central queue full (unicast path only)
         // Note: no write throttling while reservations wait — holding
         // back a unicast that is already at the head of an output
         // queue would block the very readers whose recycled chunks
         // the waiting worm needs; the up-phase headroom partition is
         // what guarantees forward progress.
         eligible_.push_back(static_cast<int>(i));
-    }
+    });
     const int winner = writeArb_.grant(eligible_);
     if (winner < 0)
         return;
@@ -540,10 +560,10 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
     // The head packet has fully left the input FIFO; the input is
     // free to decode the next packet even while the central queue
     // still drains the previous one.
-    fifos_[i].packets.pop_front();
+    popHead(i);
     fifos_[i].outLane = 0;
     InputState &input = inputs_[i];
-    input.mode = InMode::Deciding;
+    setInputMode(i, InMode::Deciding);
     input.consumed = 0;
     input.bypassPkt = nullptr;
     input.entry = CentralQueue::kNoEntry;
@@ -552,20 +572,23 @@ CentralBufferSwitch::finishHeadPacket(std::size_t i)
 void
 CentralBufferSwitch::activateStreams()
 {
-    for (auto &output : outputs_) {
-        if (output.idle() && !output.queue.empty()) {
-            output.current = std::move(output.queue.front());
-            output.queue.pop_front();
-            output.mode = OutputState::Mode::Stream;
-            output.fifoFlits = 0;
-            output.readSeq = 0;
-            output.sentSeq = 0;
-            // The current stream may trickle through the escape
-            // chunk when the shared pool is exhausted.
-            if (cq_.alive(output.current.entry))
-                cq_.grantEscape(output.current.entry);
-        }
-    }
+    queued_.forEach([&](std::size_t o) {
+        OutputState &output = outputs_[o];
+        if (!output.idle())
+            return;
+        output.current = std::move(output.queue.front());
+        output.queue.pop_front();
+        if (output.queue.empty())
+            queued_.reset(o);
+        setOutputMode(o, OutputState::Mode::Stream);
+        output.fifoFlits = 0;
+        output.readSeq = 0;
+        output.sentSeq = 0;
+        // The current stream may trickle through the escape
+        // chunk when the shared pool is exhausted.
+        if (cq_.alive(output.current.entry))
+            cq_.grantEscape(output.current.entry);
+    });
 }
 
 void
@@ -575,20 +598,18 @@ CentralBufferSwitch::cqRead(Cycle now)
     // One chunk read per cycle: round-robin over streaming outputs
     // whose staging FIFO can take a chunk.
     eligible_.clear();
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        OutputState &output = outputs_[o];
-        if (output.mode != OutputState::Mode::Stream)
-            continue;
+    stream_.forEach([&](std::size_t o) {
+        const OutputState &output = outputs_[o];
         if (output.readSeq >= output.current.branchPkt->totalFlits())
-            continue; // fully fetched; entry may already be recycled
+            return; // fully fetched; entry may already be recycled
         const int space = cbParams_.outputFifoFlits - output.fifoFlits;
         if (space < cbParams_.chunkFlits)
-            continue;
+            return;
         if (cq_.readable(output.current.entry, output.current.reader) <=
             0)
-            continue;
+            return;
         eligible_.push_back(static_cast<int>(o));
-    }
+    });
     const int winner = readArb_.grant(eligible_);
     if (winner < 0)
         return;
@@ -606,30 +627,26 @@ void
 CentralBufferSwitch::streamTransmit(Cycle now)
 {
     // Same lane service order as bypassTransmit (lane 0 at L=1).
-    const int *order = laneOrder(now);
-    for (std::size_t p = 0; p < outs_.size(); ++p) {
-        for (int k = 0; k < lanes(); ++k) {
-            const int lane = order[k];
-            OutputState &output = outputs_[laneIdx(p, lane)];
-            if (output.mode != OutputState::Mode::Stream ||
-                output.fifoFlits <= 0)
-                continue;
-            // A failed port still consumes at wire speed, so the
-            // central queue's reader advances and chunks recycle.
-            const PacketPtr &pkt = output.current.branchPkt;
-            if (!sendFlit(p, lane, pkt, output.sentSeq, now))
-                continue;
-            ++output.sentSeq;
-            --output.fifoFlits;
-            if (output.sentSeq == pkt->totalFlits()) {
-                output.mode = OutputState::Mode::Idle;
-                output.fifoFlits = 0;
-                output.readSeq = 0;
-                output.sentSeq = 0;
-                output.current = QueueItem{};
-            }
+    forEachPortLane(stream_, now, [&](std::size_t p, int lane) {
+        const std::size_t o = laneIdx(p, lane);
+        OutputState &output = outputs_[o];
+        if (output.fifoFlits <= 0)
+            return;
+        // A failed port still consumes at wire speed, so the
+        // central queue's reader advances and chunks recycle.
+        const PacketPtr &pkt = output.current.branchPkt;
+        if (!sendFlit(p, lane, pkt, output.sentSeq, now))
+            return;
+        ++output.sentSeq;
+        --output.fifoFlits;
+        if (output.sentSeq == pkt->totalFlits()) {
+            setOutputMode(o, OutputState::Mode::Idle);
+            output.fifoFlits = 0;
+            output.readSeq = 0;
+            output.sentSeq = 0;
+            output.current = QueueItem{};
         }
-    }
+    });
 }
 
 } // namespace mdw

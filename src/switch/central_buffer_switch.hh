@@ -173,6 +173,12 @@ class CentralBufferSwitch : public SwitchBase
     void cqRead(Cycle now);
     void streamTransmit(Cycle now);
     void finishHeadPacket(std::size_t input);
+    /** Set input @p i's mode, keeping deciding_/cqInput_ exact. */
+    void setInputMode(std::size_t i, InMode mode);
+    /** Set output slot @p o's mode, keeping bypass_/stream_ exact. */
+    void setOutputMode(std::size_t o, OutputState::Mode mode);
+    /** Queue @p item on output slot @p o's service queue. */
+    void enqueue(std::size_t o, QueueItem item);
 
     /** Queue-length cost used by adaptive up-port choice. */
     int outputBacklog(PortId port, int lane) const;
@@ -189,6 +195,16 @@ class CentralBufferSwitch : public SwitchBase
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;
     std::vector<OutputState> outputs_;
+    /** Inputs in Deciding mode (decide() serves the occupied ones). */
+    ReadySet deciding_;
+    /** Inputs writing their head into the central queue. */
+    ReadySet cqInput_;
+    /** Output slots in Bypass mode. */
+    ReadySet bypass_;
+    /** Output slots in Stream mode. */
+    ReadySet stream_;
+    /** Output slots with a non-empty service queue. */
+    ReadySet queued_;
     RoundRobinArbiter writeArb_;
     RoundRobinArbiter readArb_;
     /** Requester scratch of cqWrite/cqRead, reused every step. */

@@ -12,7 +12,7 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
                                      const IbParams &ibParams)
     : SwitchBase(std::move(name), id, routing, params,
                  ibParams.bufferFlits),
-      ibParams_(ibParams)
+      ibParams_(ibParams), admitted_(fifos_.size()), bound_(fifos_.size())
 {
     const auto radix = static_cast<std::size_t>(routing->radix());
     const auto slots = radix * static_cast<std::size_t>(lanes());
@@ -26,10 +26,27 @@ InputBufferSwitch::InputBufferSwitch(std::string name, SwitchId id,
 }
 
 bool
-InputBufferSwitch::fullyGranted(const InputState &input)
+InputBufferSwitch::fullyGranted(std::size_t i) const
 {
-    return input.admitted && !input.upPending &&
+    const InputState &input = inputs_[i];
+    return admitted_.test(i) && !input.upPending &&
            !input.branches.empty() && input.ungranted == 0;
+}
+
+void
+InputBufferSwitch::bindOutput(std::size_t o, int input, int branch)
+{
+    outputs_[o].boundInput = input;
+    outputs_[o].boundBranch = branch;
+    bound_.set(o);
+}
+
+void
+InputBufferSwitch::unbindOutput(std::size_t o)
+{
+    outputs_[o].boundInput = -1;
+    outputs_[o].boundBranch = -1;
+    bound_.reset(o);
 }
 
 bool
@@ -61,7 +78,8 @@ InputBufferSwitch::dumpState(FILE *out) const
                      i / static_cast<std::size_t>(lanes()),
                      i % static_cast<std::size_t>(lanes()),
                      fifo.packets.size(), rec.pkt->toString().c_str(),
-                     rec.arrived, in.released, in.admitted, fifo.outLane,
+                     rec.arrived, in.released, admitted_.test(i) ? 1 : 0,
+                     fifo.outLane,
                      in.upPending, fifo.freeSlots);
         for (const Branch &branch : in.branches) {
             std::fprintf(out, "    branch port=%d sent=%d granted=%d\n",
@@ -105,12 +123,8 @@ InputBufferSwitch::nextWork(Cycle now)
     // Buffered packets cover every ongoing activity: branches and
     // output bindings only exist for a resident head packet, and
     // release() frees slots only while packets are queued.
-    if (!fifosEmpty())
+    if (!fifosEmpty() || bound_.any())
         return now + 1;
-    for (const OutputState &output : outputs_) {
-        if (output.busy())
-            return now + 1;
-    }
     return earliestLinkArrival();
 }
 
@@ -143,57 +157,60 @@ InputBufferSwitch::laneCost(const RouteDecision &route, int lane) const
 void
 InputBufferSwitch::admitHeads(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        InputState &input = inputs_[i];
-        if (input.admitted || fifos_[i].packets.empty())
-            continue;
-        const RouteDecision *route = decodeHead(i, now);
-        if (route == nullptr)
-            continue;
-        InputFifo &fifo = fifos_[i];
-        const PacketPtr &pkt = fifo.packets.front().pkt;
-        MDW_ASSERT(pkt->totalFlits() <= ibParams_.bufferFlits,
-                   "packet %llu (%d flits) exceeds input buffer "
-                   "(%d flits)",
-                   static_cast<unsigned long long>(pkt->id),
-                   pkt->totalFlits(), ibParams_.bufferFlits);
-        input.admitted = true;
-        input.released = 0;
-        input.upPending = false;
-        input.branches.clear();
-        // A worm with no routable destination stays branchless:
-        // release() drains it at arrival speed.
-        if (route->branchCount() > 0) {
-            // One lane choice per worm, applied to every replication
-            // branch: a multidestination worm must hold the same lane
-            // class on all of its output branches, or a branch on a
-            // bulk lane could stall the whole worm behind bulk
-            // traffic and defeat the class isolation.
-            fifo.outLane = allocLane(*pkt, now, [&](int lane) {
-                return laneCost(*route, lane);
-            });
-            input.branches.reserve(route->downBranches.size() + 1);
-            for (const auto &[port, sub] : route->downBranches)
+    occupied_.forEachAndNot(admitted_,
+                            [&](std::size_t i) { admitHead(i, now); });
+}
+
+void
+InputBufferSwitch::admitHead(std::size_t i, Cycle now)
+{
+    const RouteDecision *route = decodeHead(i, now);
+    if (route == nullptr)
+        return;
+    InputState &input = inputs_[i];
+    InputFifo &fifo = fifos_[i];
+    const PacketPtr &pkt = fifo.packets.front().pkt;
+    MDW_ASSERT(pkt->totalFlits() <= ibParams_.bufferFlits,
+               "packet %llu (%d flits) exceeds input buffer "
+               "(%d flits)",
+               static_cast<unsigned long long>(pkt->id),
+               pkt->totalFlits(), ibParams_.bufferFlits);
+    admitted_.set(i);
+    input.released = 0;
+    input.upPending = false;
+    input.branches.clear();
+    // A worm with no routable destination stays branchless:
+    // release() drains it at arrival speed.
+    if (route->branchCount() > 0) {
+        // One lane choice per worm, applied to every replication
+        // branch: a multidestination worm must hold the same lane
+        // class on all of its output branches, or a branch on a
+        // bulk lane could stall the whole worm behind bulk
+        // traffic and defeat the class isolation.
+        fifo.outLane = allocLane(*pkt, now, [&](int lane) {
+            return laneCost(*route, lane);
+        });
+        input.branches.reserve(route->downBranches.size() + 1);
+        for (const auto &[port, sub] : route->downBranches)
+            input.branches.push_back(
+                Branch{port, pruneBranch(pkt, sub), 0, false});
+        if (route->needsUp()) {
+            if (params_.upPolicy == UpPortPolicy::Deterministic) {
+                const PortId up =
+                    chooseUpPort(*route, *pkt, fifo.outLane, nullptr);
                 input.branches.push_back(
-                    Branch{port, pruneBranch(pkt, sub), 0, false});
-            if (route->needsUp()) {
-                if (params_.upPolicy == UpPortPolicy::Deterministic) {
-                    const PortId up = chooseUpPort(*route, *pkt,
-                                                   fifo.outLane, nullptr);
-                    input.branches.push_back(
-                        Branch{up, pruneBranch(pkt, route->upDests), 0,
-                               false});
-                } else {
-                    input.upPending = true;
-                    input.upCandidates = route->upCandidates;
-                    input.upDests = route->upDests;
-                }
+                    Branch{up, pruneBranch(pkt, route->upDests), 0,
+                           false});
+            } else {
+                input.upPending = true;
+                input.upCandidates = route->upCandidates;
+                input.upDests = route->upDests;
             }
-            noteRouted(*pkt, route->branchCount(), now);
         }
-        input.ungranted = static_cast<int>(input.branches.size());
-        fifo.route.reset();
+        noteRouted(*pkt, route->branchCount(), now);
     }
+    input.ungranted = static_cast<int>(input.branches.size());
+    fifo.route.reset();
 }
 
 void
@@ -216,10 +233,10 @@ InputBufferSwitch::collectRequests()
             requested_.push_back(static_cast<int>(o));
         list.push_back(Request{input, branch});
     };
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    admitted_.forEach([&](std::size_t i) {
         const InputState &input = inputs_[i];
-        if (!input.admitted || (input.ungranted == 0 && !input.upPending))
-            continue;
+        if (input.ungranted == 0 && !input.upPending)
+            return;
         // An input requests only the outputs on its worm's lane.
         const int lane = fifos_[i].outLane;
         const int in = static_cast<int>(i);
@@ -238,7 +255,7 @@ InputBufferSwitch::collectRequests()
                 add(o, in, static_cast<int>(b));
         }
         if (!input.upPending)
-            continue;
+            return;
         for (PortId cand : input.upCandidates) {
             if (!freeOutput(cand, lane))
                 continue;
@@ -250,7 +267,7 @@ InputBufferSwitch::collectRequests()
             if (list.empty() || list.back().input != in)
                 add(o, in, kUpRequest);
         }
-    }
+    });
     std::sort(requested_.begin(), requested_.end());
 }
 
@@ -296,8 +313,7 @@ InputBufferSwitch::arbitrate()
                 .granted = true;
             --input.ungranted;
         }
-        outputs_[o].boundInput = winner;
-        outputs_[o].boundBranch = branch_idx;
+        bindOutput(o, winner, branch_idx);
     }
 }
 
@@ -307,34 +323,26 @@ InputBufferSwitch::transmit(Cycle now)
     // Latency-class lanes are served first, rotating within each
     // class partition (see laneOrder); with one lane this is lane 0
     // every cycle (the pre-lane iteration order).
-    const int *order = laneOrder(now);
-    for (std::size_t port = 0; port < outs_.size(); ++port) {
-        for (int k = 0; k < lanes(); ++k) {
-            const int lane = order[k];
-            OutputState &output = outputs_[laneIdx(port, lane)];
-            if (!output.busy())
-                continue;
-            const auto in = static_cast<std::size_t>(output.boundInput);
-            Branch &branch =
-                inputs_[in].branches[static_cast<std::size_t>(
-                    output.boundBranch)];
-            const PacketRecord &rec = fifos_[in].packets.front();
-            MDW_ASSERT(rec.pkt->id == branch.pkt->id,
-                       "output %zu bound to a non-head packet", port);
+    forEachPortLane(bound_, now, [&](std::size_t port, int lane) {
+        const std::size_t o = laneIdx(port, lane);
+        const OutputState &output = outputs_[o];
+        const auto in = static_cast<std::size_t>(output.boundInput);
+        Branch &branch = inputs_[in].branches[static_cast<std::size_t>(
+            output.boundBranch)];
+        const PacketRecord &rec = fifos_[in].packets.front();
+        MDW_ASSERT(rec.pkt->id == branch.pkt->id,
+                   "output %zu bound to a non-head packet", port);
 
-            if (branch.sent >= rec.arrived)
-                continue; // flit not yet in the buffer
-            // A failed port swallows the flit at wire speed so the
-            // buffer slot recycles and sibling branches keep going.
-            if (!sendFlit(port, lane, branch.pkt, branch.sent, now))
-                continue;
-            ++branch.sent;
-            if (branch.done()) {
-                output.boundInput = -1;
-                output.boundBranch = -1;
-            }
-        }
-    }
+        if (branch.sent >= rec.arrived)
+            return; // flit not yet in the buffer
+        // A failed port swallows the flit at wire speed so the
+        // buffer slot recycles and sibling branches keep going.
+        if (!sendFlit(port, lane, branch.pkt, branch.sent, now))
+            return;
+        ++branch.sent;
+        if (branch.done())
+            unbindOutput(o);
+    });
 }
 
 void
@@ -345,13 +353,14 @@ InputBufferSwitch::arbitrateSync()
     // shot, or none. Every waiting input tries once per cycle, in
     // round-robin order for fairness.
     candidates_.clear();
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    admitted_.forEach([&](std::size_t i) {
         const InputState &input = inputs_[i];
-        if (input.admitted && (input.upPending || input.ungranted > 0))
+        if (input.upPending || input.ungranted > 0)
             candidates_.push_back(static_cast<int>(i));
-    }
+    });
 
     while (!candidates_.empty()) {
+        // Every grant rotates the arbiter, committed or not.
         const int i = syncArb_.grant(candidates_);
         candidates_.erase(
             std::find(candidates_.begin(), candidates_.end(), i));
@@ -396,10 +405,8 @@ InputBufferSwitch::arbitrateSync()
             if (branch.granted)
                 continue;
             branch.granted = true;
-            OutputState &output = outputs_[laneIdx(
-                static_cast<std::size_t>(branch.port), lane)];
-            output.boundInput = i;
-            output.boundBranch = static_cast<int>(b);
+            bindOutput(laneIdx(static_cast<std::size_t>(branch.port), lane),
+                       i, static_cast<int>(b));
         }
         input.ungranted = 0;
     }
@@ -408,17 +415,17 @@ InputBufferSwitch::arbitrateSync()
 void
 InputBufferSwitch::transmitSync(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    admitted_.forEach([&](std::size_t i) {
+        if (!fullyGranted(i))
+            return;
         InputState &input = inputs_[i];
-        if (!fullyGranted(input))
-            continue;
         const PacketRecord &rec = fifos_[i].packets.front();
         const int lane = fifos_[i].outLane;
         const int sent = input.branches.front().sent;
         if (sent >= rec.arrived)
-            continue;
+            return;
         if (sent >= rec.pkt->totalFlits())
-            continue;
+            return;
 
         // Lock-step: the flit moves only if EVERY branch can take it
         // this cycle (the synchronous-replication feedback).
@@ -444,7 +451,7 @@ InputBufferSwitch::transmitSync(Cycle now)
                 stats_.reservationStallCycles.inc();
                 traceWorm(WormEvent::ReserveStall, now, *rec.pkt);
             }
-            continue;
+            return;
         }
 
         bool done = false;
@@ -466,23 +473,18 @@ InputBufferSwitch::transmitSync(Cycle now)
             sim_->noteProgress();
         if (done) {
             traceWorm(WormEvent::TailDrain, now, *rec.pkt);
-            for (const Branch &branch : input.branches) {
-                OutputState &output = outputs_[laneIdx(
-                    static_cast<std::size_t>(branch.port), lane)];
-                output.boundInput = -1;
-                output.boundBranch = -1;
-            }
+            for (const Branch &branch : input.branches)
+                unbindOutput(
+                    laneIdx(static_cast<std::size_t>(branch.port), lane));
         }
-    }
+    });
 }
 
 void
 InputBufferSwitch::release(Cycle now)
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    admitted_.forEach([&](std::size_t i) {
         InputState &input = inputs_[i];
-        if (!input.admitted)
-            continue;
         const PacketRecord &rec = fifos_[i].packets.front();
         const int total = rec.pkt->totalFlits();
 
@@ -502,14 +504,14 @@ InputBufferSwitch::release(Cycle now)
         if (input.released == total) {
             MDW_ASSERT(rec.arrived == total,
                        "released more flits than arrived");
-            fifos_[i].packets.pop_front();
-            input.admitted = false;
+            popHead(i);
+            admitted_.reset(i);
             input.branches.clear();
             input.upPending = false;
             input.ungranted = 0;
             input.released = 0;
         }
-    }
+    });
 }
 
 void

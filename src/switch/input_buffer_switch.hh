@@ -95,8 +95,6 @@ class InputBufferSwitch : public SwitchBase
     {
         /** Head-packet flits already forwarded by every branch. */
         int released = 0;
-        /** The head is decoded and its branches are set up. */
-        bool admitted = false;
         /** Head packet still needs an up port to be granted. */
         bool upPending = false;
         /** Branches still waiting for their output (port, lane). */
@@ -130,6 +128,12 @@ class InputBufferSwitch : public SwitchBase
 
     /** Decode and admit input heads: set up their branches. */
     void admitHeads(Cycle now);
+    /** admitHeads() for input @p i, whose head is not admitted. */
+    void admitHead(std::size_t i, Cycle now);
+    /** Bind output slot @p o to @p branch of input @p input. */
+    void bindOutput(std::size_t o, int input, int branch);
+    /** Free output slot @p o after its branch finished. */
+    void unbindOutput(std::size_t o);
     /** Adaptive lane cost: required output (port, lane) slots busy. */
     int laneCost(const RouteDecision &route, int lane) const;
     /**
@@ -148,13 +152,17 @@ class InputBufferSwitch : public SwitchBase
     void transmitSync(Cycle now);
     void release(Cycle now);
 
-    /** True when every branch of the head packet has its port. */
-    static bool fullyGranted(const InputState &input);
+    /** True when input @p i's admitted head has every branch's port. */
+    bool fullyGranted(std::size_t i) const;
 
     IbParams ibParams_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputState> inputs_;
     std::vector<OutputState> outputs_;
+    /** Inputs whose head is decoded and its branches set up. */
+    ReadySet admitted_;
+    /** Output (port, lane) slots bound to a branch (busy()). */
+    ReadySet bound_;
     std::vector<RoundRobinArbiter> outputArb_;
     RoundRobinArbiter syncArb_;
     /** Per-output requester lists (laneIdx-flattened), outputs with

@@ -1,5 +1,6 @@
 #include "switch/switch_base.hh"
 
+#include <algorithm>
 #include <functional>
 
 #include "sim/system.hh"
@@ -28,10 +29,12 @@ SwitchBase::SwitchBase(std::string name, SwitchId id,
       fifoFlits_(fifoFlits),
       fifos_(static_cast<std::size_t>(routing->radix()) *
              static_cast<std::size_t>(params.lanes)),
+      occupied_(fifos_.size()),
       portTx_(static_cast<std::size_t>(routing->radix())),
       laneTx_(static_cast<std::size_t>(routing->radix()) *
               static_cast<std::size_t>(params.lanes)),
-      rng_(Rng(params.seed).fork(static_cast<std::uint64_t>(id) + 17))
+      rng_(Rng(params.seed).fork(static_cast<std::uint64_t>(id) + 17)),
+      inReady_(ins_.size()), creditReady_(outs_.size())
 {
     MDW_ASSERT(routing != nullptr, "switch %d without routing", id);
     MDW_ASSERT(params.lanes >= 1 && params.lanes <= kMaxLanes,
@@ -50,8 +53,10 @@ SwitchBase::connectIn(PortId port, Channel<Flit> *in,
                id_, port);
     p.in = in;
     p.creditOut = creditOut;
-    // Arriving flits must be able to rouse a sleeping switch.
+    // Arriving flits must be able to rouse a sleeping switch, and
+    // flag the port for intake.
     in->setWakeSink(this);
+    in->setReadyFlag(inReady_.flag(static_cast<std::size_t>(port)));
 }
 
 void
@@ -75,20 +80,21 @@ SwitchBase::connectOut(PortId port, Channel<Flit> *out,
     // or quiescence (credits back home) would stall under the fast
     // path.
     creditIn->setWakeSink(this);
+    creditIn->setReadyFlag(
+        creditReady_.flag(static_cast<std::size_t>(port)));
 }
 
 Cycle
 SwitchBase::earliestLinkArrival() const
 {
+    // Only links with queued items can arrive.
     Cycle next = kNoCycle;
-    for (const InPort &p : ins_) {
-        if (p.in != nullptr && p.in->nextArrival() < next)
-            next = p.in->nextArrival();
-    }
-    for (const OutPort &p : outs_) {
-        if (p.creditIn != nullptr && p.creditIn->nextArrival() < next)
-            next = p.creditIn->nextArrival();
-    }
+    inReady_.forEach([&](std::size_t p) {
+        next = std::min(next, ins_[p].in->nextArrival());
+    });
+    creditReady_.forEach([&](std::size_t p) {
+        next = std::min(next, outs_[p].creditIn->nextArrival());
+    });
     return next;
 }
 
@@ -131,46 +137,52 @@ SwitchBase::degradeOutPort(PortId port, int factor)
 void
 SwitchBase::intake(Cycle now)
 {
-    for (std::size_t i = 0; i < ins_.size(); ++i) {
-        InPort &port = ins_[i];
-        if (!port.connected() || !port.in->peek(now))
-            continue;
-        Flit flit = port.in->receive(now);
-        if (port.failed) {
-            // Dead link: discard whatever still trickles in (the
-            // fabrication path completes any cut-off packet instead).
-            noteTombstone();
-            continue;
-        }
-        MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
-                   "switch %d input %zu: flit on lane %d of %d", id_,
-                   i, flit.lane, lanes());
-        InputFifo &fifo = fifos_[laneIdx(i, flit.lane)];
-        MDW_ASSERT(fifo.freeSlots > 0,
-                   "switch %d input %zu lane %d: flit arrived with "
-                   "full FIFO (credit protocol violated)",
-                   id_, i, flit.lane);
-        --fifo.freeSlots;
-        ++occupiedFlits_;
-        stats_.flitsIn.inc();
-        if (flit.isHead()) {
-            // Decode needs the whole header resident at once.
-            MDW_ASSERT(flit.pkt->headerFlits <= fifoFlits_,
-                       "header (%d flits) exceeds the %d-flit input "
-                       "FIFO",
-                       flit.pkt->headerFlits, fifoFlits_);
-            fifo.packets.push_back(PacketRecord{flit.pkt, 1});
-        } else {
-            MDW_ASSERT(!fifo.packets.empty() &&
-                           fifo.packets.back().pkt->id == flit.pkt->id,
-                       "switch %d input %zu lane %d: interleaved "
-                       "packets on one lane",
-                       id_, i, flit.lane);
-            ++fifo.packets.back().arrived;
-        }
-        if (sim_)
-            sim_->noteProgress();
+    inReady_.forEach([&](std::size_t i) { intakePort(i, now); });
+}
+
+void
+SwitchBase::intakePort(std::size_t i, Cycle now)
+{
+    InPort &port = ins_[i];
+    if (!port.in->peek(now))
+        return;
+    Flit flit = port.in->receive(now);
+    if (port.failed) {
+        // Dead link: discard whatever still trickles in (the
+        // fabrication path completes any cut-off packet instead).
+        noteTombstone();
+        return;
     }
+    MDW_ASSERT(flit.lane >= 0 && flit.lane < lanes(),
+               "switch %d input %zu: flit on lane %d of %d", id_, i,
+               flit.lane, lanes());
+    const std::size_t f = laneIdx(i, flit.lane);
+    InputFifo &fifo = fifos_[f];
+    MDW_ASSERT(fifo.freeSlots > 0,
+               "switch %d input %zu lane %d: flit arrived with "
+               "full FIFO (credit protocol violated)",
+               id_, i, flit.lane);
+    --fifo.freeSlots;
+    ++occupiedFlits_;
+    stats_.flitsIn.inc();
+    if (flit.isHead()) {
+        // Decode needs the whole header resident at once.
+        MDW_ASSERT(flit.pkt->headerFlits <= fifoFlits_,
+                   "header (%d flits) exceeds the %d-flit input "
+                   "FIFO",
+                   flit.pkt->headerFlits, fifoFlits_);
+        fifo.packets.push_back(PacketRecord{flit.pkt, 1});
+        occupied_.set(f);
+    } else {
+        MDW_ASSERT(!fifo.packets.empty() &&
+                       fifo.packets.back().pkt->id == flit.pkt->id,
+                   "switch %d input %zu lane %d: interleaved "
+                   "packets on one lane",
+                   id_, i, flit.lane);
+        ++fifo.packets.back().arrived;
+    }
+    if (sim_)
+        sim_->noteProgress();
 }
 
 void
@@ -182,15 +194,13 @@ SwitchBase::fabricateFailedArrivals()
     // locally, one per cycle as the wire would have, and poison the
     // id so every NIC discards the mangled delivery end-to-end;
     // retransmission re-covers the destinations.
-    for (std::size_t i = 0; i < fifos_.size(); ++i) {
+    occupied_.forEach([&](std::size_t i) {
         if (!ins_[i / static_cast<std::size_t>(lanes())].failed)
-            continue;
+            return;
         InputFifo &fifo = fifos_[i];
-        if (fifo.packets.empty())
-            continue;
         PacketRecord &rec = fifo.packets.back();
         if (rec.arrived >= rec.pkt->totalFlits() || fifo.freeSlots <= 0)
-            continue;
+            return;
         poisonPacket(*rec.pkt);
         --fifo.freeSlots;
         ++occupiedFlits_;
@@ -198,7 +208,7 @@ SwitchBase::fabricateFailedArrivals()
         stats_.flitsIn.inc();
         if (sim_)
             sim_->noteProgress();
-    }
+    });
 }
 
 const RouteDecision *
@@ -314,16 +324,6 @@ SwitchBase::pushFlit(std::size_t p, int lane, const PacketPtr &pkt,
     laneTx_[laneIdx(p, lane)].inc();
 }
 
-bool
-SwitchBase::fifosEmpty() const
-{
-    for (const InputFifo &fifo : fifos_) {
-        if (!fifo.packets.empty())
-            return false;
-    }
-    return true;
-}
-
 void
 SwitchBase::sampleFifoOccupancy(Cycle now)
 {
@@ -400,9 +400,8 @@ SwitchBase::outConnected(PortId port) const
 void
 SwitchBase::collectCredits(Cycle now)
 {
-    for (auto &p : outs_) {
-        if (!p.creditIn)
-            continue;
+    creditReady_.forEach([&](std::size_t i) {
+        OutPort &p = outs_[i];
         // A failed output's credits are meaningless (the tombstone
         // sink never spends them); discard so the channel drains and
         // the quiescence check sees every credit channel empty.
@@ -410,7 +409,7 @@ SwitchBase::collectCredits(Cycle now)
             (void)p.creditIn->receive(now);
         else
             (void)p.creditIn->receiveByLane(now, p.credits);
-    }
+    });
 }
 
 bool

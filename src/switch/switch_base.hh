@@ -23,6 +23,7 @@
 #include "message/flit.hh"
 #include "sim/channel.hh"
 #include "sim/component.hh"
+#include "sim/ready_set.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry.hh"
@@ -282,18 +283,30 @@ class SwitchBase : public Component
         std::optional<RouteDecision> route;
     };
 
-    /** Pull arrived credits on every output port (lane-demuxed). */
+    /** Pull arrived credits on every output port whose credit
+     *  channel holds grants (lane-demuxed). */
     void collectCredits(Cycle now);
 
     /**
-     * Intake stage: move at most one arrived flit per input link into
-     * the FIFO of its lane. Flits still trickling in on a failed link
-     * are discarded.
+     * Intake stage: move at most one arrived flit per input link with
+     * queued flits into the FIFO of its lane. Flits still trickling
+     * in on a failed link are discarded.
      */
     void intake(Cycle now);
 
     /** Complete packets cut off by a failed input link (fault). */
     void fabricateFailedArrivals();
+
+    /** Pop the head packet of FIFO @p i (the only way a packet
+     *  leaves a FIFO, so occupied_ stays exact). */
+    void
+    popHead(std::size_t i)
+    {
+        std::deque<PacketRecord> &packets = fifos_[i].packets;
+        packets.pop_front();
+        if (packets.empty())
+            occupied_.reset(i);
+    }
 
     /**
      * Decode stage for FIFO @p i: once the head's routing header has
@@ -333,7 +346,7 @@ class SwitchBase : public Component
                   int seq, Cycle now);
 
     /** True when every input FIFO is empty. */
-    bool fifosEmpty() const;
+    bool fifosEmpty() const { return !occupied_.any(); }
 
     /** Sample the per-lane buffered-flit total (multi-lane only). */
     void sampleFifoOccupancy(Cycle now);
@@ -379,6 +392,36 @@ class SwitchBase : public Component
         if (params_.lanes > 1 && now != laneOrderAt_)
             orderLanes(now);
         return laneOrder_.data();
+    }
+
+    /**
+     * Call @p f(port, lane) for every (port, lane) slot set in
+     * @p slots (laneIdx-flattened), ports ascending and the lanes of
+     * a port in laneOrder(@p now): the transmit stages' service
+     * order. @p f may clear its own slot. With one lane this walks
+     * the set bits directly.
+     */
+    template <typename F>
+    void
+    forEachPortLane(const ReadySet &slots, Cycle now, F &&f)
+    {
+        if (lanes() == 1) {
+            slots.forEach([&](std::size_t port) { f(port, 0); });
+            return;
+        }
+        const int *order = laneOrder(now);
+        const auto width = static_cast<std::size_t>(lanes());
+        std::size_t last = outs_.size();
+        slots.forEach([&](std::size_t slot) {
+            const std::size_t port = slot / width;
+            if (port == last)
+                return;
+            last = port;
+            for (int k = 0; k < lanes(); ++k) {
+                if (slots.test(laneIdx(port, order[k])))
+                    f(port, order[k]);
+            }
+        });
     }
 
     /**
@@ -451,6 +494,8 @@ class SwitchBase : public Component
     int fifoFlits_;
     /** laneIdx-flattened: (port, lane) for ports 0..radix. */
     std::vector<InputFifo> fifos_;
+    /** FIFOs holding at least one packet (laneIdx-flattened). */
+    ReadySet occupied_;
     std::vector<Counter> portTx_;
     /** Per-(port, lane) tx flits, laneIdx-flattened; registered as
      *  metrics only on multi-lane switches. */
@@ -466,6 +511,16 @@ class SwitchBase : public Component
   private:
     /** Fill laneOrder_ for cycle @p now (multi-lane only). */
     void orderLanes(Cycle now);
+
+    /** intake() for input @p i, whose link has queued flits. */
+    void intakePort(std::size_t i, Cycle now);
+
+    /** Inputs whose link holds queued flits; bits set and cleared by
+     *  the channels (Channel::setReadyFlag). */
+    ReadySet inReady_;
+    /** Outputs whose credit channel holds queued grants; bits set
+     *  and cleared by the channels. */
+    ReadySet creditReady_;
 
     /** Flits buffered across every input FIFO, kept by the stages
      *  that fill and free FIFO slots. */

@@ -56,6 +56,8 @@ makeShardPlan(const PortGraph &graph, std::size_t shards)
         totalHosts += l;
     std::fill(plan.switchShard.begin(), plan.switchShard.end(),
               kUnassigned);
+    // Switches assigned to each shard so far (balances vote ties).
+    std::vector<std::size_t> members(shards, 0);
     std::size_t hostsBefore = 0;
     std::size_t edgeSeen = 0;
     std::size_t edgeCount = 0;
@@ -70,17 +72,21 @@ makeShardPlan(const PortGraph &graph, std::size_t shards)
         } else {
             shard = edgeSeen * shards / (edgeCount ? edgeCount : 1);
         }
-        plan.switchShard[sw] = static_cast<std::uint32_t>(
-            std::min(shard, shards - 1));
+        shard = std::min(shard, shards - 1);
+        plan.switchShard[sw] = static_cast<std::uint32_t>(shard);
+        ++members[shard];
         hostsBefore += load[sw];
         ++edgeSeen;
     }
 
     // Pass 2: pull interior switches towards the shard most of their
-    // assigned neighbors sit in (ties break to the smallest shard
-    // id). A few sweeps propagate labels up multi-stage topologies;
-    // anything still unreached (disconnected interior) falls back to
-    // id % shards.
+    // assigned neighbors sit in; a tie goes to the tied shard with
+    // the fewest switches so far, then the smallest id (the top
+    // stage of a k-ary n-tree has one neighbor in every subtree, so
+    // breaking its ties by id alone would pile the whole stage onto
+    // shard 0). A few sweeps propagate labels up multi-stage
+    // topologies; anything still unreached (disconnected interior)
+    // falls back to id % shards.
     std::vector<std::size_t> votes(shards, 0);
     for (int sweep = 0; sweep < 4; ++sweep) {
         bool changed = false;
@@ -105,10 +111,15 @@ makeShardPlan(const PortGraph &graph, std::size_t shards)
             }
             if (!any)
                 continue;
-            const auto best =
-                std::max_element(votes.begin(), votes.end());
-            plan.switchShard[sw] = static_cast<std::uint32_t>(
-                best - votes.begin());
+            std::size_t best = 0;
+            for (std::size_t s = 1; s < shards; ++s) {
+                if (votes[s] > votes[best] ||
+                    (votes[s] == votes[best] &&
+                     members[s] < members[best]))
+                    best = s;
+            }
+            plan.switchShard[sw] = static_cast<std::uint32_t>(best);
+            ++members[best];
             changed = true;
         }
         if (!changed)

@@ -279,6 +279,17 @@ const Scenario kScenarios[] = {
      "switch.lanes=2 telemetry.trace=1 telemetry.traceCapacity=65536 "
      "workload.pattern=bimodal workload.mcastFraction=0.1 "
      "workload.mcastClass=1 workload.load=0.05"},
+    // Wide switches: 24 ports x 4 lanes = 96 (port, lane) slots, so
+    // every per-switch ready set spans two words and its iteration
+    // must carry across the word boundary.
+    {"wide_cb_lanes4",
+     "k=12 n=2 switch.lanes=4 switch.laneAlloc=adaptive "
+     "workload.pattern=bimodal workload.mcastFraction=0.1 "
+     "workload.mcastClass=1 workload.load=0.1"},
+    {"wide_ib_lanes4",
+     "arch=ib k=12 n=2 switch.lanes=4 workload.pattern=bimodal "
+     "workload.mcastFraction=0.1 workload.mcastClass=1 "
+     "workload.load=0.1"},
     // fig_collectives: closed-loop workloads. Sleeping nodes must be
     // woken by the delivery/completion events that gate each phase,
     // in both scheduler modes, on identical cycles.
@@ -329,6 +340,38 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Scenario> &info) {
         return std::string(info.param.name);
     });
+
+// The diff above compares scheduler modes with one another, so a
+// switch that dropped the upper words of its ready sets would break
+// every mode alike and still pass. The wide scenarios must also drain
+// cleanly and carry flits on (port, lane) slots past the first word.
+TEST(FastPathDiffWide, HighSlotsCarryTrafficAndDrain)
+{
+    for (const Scenario &scenario : kScenarios) {
+        const std::string name = scenario.name;
+        if (name.rfind("wide_", 0) != 0)
+            continue;
+        const ExperimentResult r =
+            runMode(withTokens(scenario.tokens), true, 4);
+        EXPECT_TRUE(r.drained) << name;
+        EXPECT_FALSE(r.deadlocked) << name;
+        EXPECT_TRUE(r.quiescent) << name;
+        std::uint64_t highSlotFlits = 0;
+        for (const auto &[metric, value] : r.metrics.entries()) {
+            int port = 0;
+            int lane = 0;
+            const std::string suffix = ".tx_flits";
+            if (std::sscanf(metric.c_str(), "switch.%*d.port.%d.lane.%d",
+                            &port, &lane) == 2 &&
+                metric.size() > suffix.size() &&
+                metric.compare(metric.size() - suffix.size(),
+                               suffix.size(), suffix) == 0 &&
+                port * 4 + lane >= 64)
+                highSlotFlits += value.counter;
+        }
+        EXPECT_GT(highSlotFlits, 0u) << name;
+    }
+}
 
 // lanes=1 must be bit-identical to the pre-lane switch: a single
 // lane leaves no allocation or service choice to make, so spelling

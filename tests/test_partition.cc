@@ -114,6 +114,17 @@ TEST(Partition, EdgeSwitchHostLoadIsBalanced)
         EXPECT_GT(plan.countIn(s), 0u) << "shard " << s;
 }
 
+TEST(Partition, TiedInteriorSwitchesSpreadEvenly)
+{
+    // Every top-stage switch of a 4-ary 3-tree has one neighbor in
+    // each shard's subtree; the tie goes to the least-loaded shard,
+    // so the top stage spreads evenly instead of landing on shard 0.
+    FatTree t(4, 3); // 48 switches, 16 per stage
+    const ShardPlan plan = makeShardPlan(t.graph(), 4);
+    for (std::uint32_t s = 0; s < 4; ++s)
+        EXPECT_EQ(plan.countIn(s), 12u) << "shard " << s;
+}
+
 TEST(Partition, OneShardDegeneratesToFlat)
 {
     FatTree t(4, 2);

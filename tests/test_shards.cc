@@ -35,12 +35,14 @@ namespace {
 struct RecordingRegistrar : BoundaryRegistrar
 {
     std::vector<std::pair<std::uint32_t, BoundaryChannel *>> dirty;
+    std::vector<std::uint32_t> receivers;
 
     void
-    boundaryDirty(std::uint32_t srcShard,
+    boundaryDirty(std::uint32_t srcShard, std::uint32_t dstShard,
                   BoundaryChannel *channel) override
     {
         dirty.emplace_back(srcShard, channel);
+        receivers.push_back(dstShard);
     }
 };
 
@@ -48,7 +50,7 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
 {
     RecordingRegistrar reg;
     Channel<int> ch("b", 1);
-    ch.setBoundary(&reg, 3);
+    ch.setBoundary(&reg, 3, 1);
 
     ch.send(7, 10);
     ch.send(8, 11);
@@ -62,8 +64,9 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
     ASSERT_EQ(reg.dirty.size(), 1u);
     EXPECT_EQ(reg.dirty[0].first, 3u);
     EXPECT_EQ(reg.dirty[0].second, &ch);
+    EXPECT_EQ(reg.receivers[0], 1u);
 
-    // The barrier flush makes everything visible at its stamped
+    // The flush makes everything visible at its stamped
     // arrival cycle, in order.
     EXPECT_EQ(ch.flushBoundary(), 2u);
     EXPECT_EQ(ch.nextArrival(), 11u);
@@ -77,7 +80,7 @@ TEST(BoundaryChannel, SendsStayInvisibleUntilFlush)
     EXPECT_EQ(ch.receive(21), 9);
 
     // Reverting restores direct delivery.
-    ch.setBoundary(nullptr, 0);
+    ch.setBoundary(nullptr, 0, 0);
     ch.send(10, 30);
     ASSERT_NE(ch.peek(31), nullptr);
     EXPECT_EQ(reg.dirty.size(), 2u);
@@ -87,14 +90,14 @@ TEST(BoundaryChannel, CreditGrantsMergeAndFlush)
 {
     RecordingRegistrar reg;
     CreditChannel ch("cr", 1);
-    ch.setBoundary(&reg, 1);
+    ch.setBoundary(&reg, 1, 0);
 
     ch.send(2, 5);
     ch.send(3, 5); // same ready cycle: merged in the mailbox
     ch.send(1, 6);
     // Buffered grants are not yet charged to inFlight(): the counter
     // is shared with the receiving shard, so the sender defers the
-    // charge to the (single-threaded) barrier flush.
+    // charge to the flush, which runs on the receiver's thread.
     EXPECT_EQ(ch.inFlight(), 0);
     EXPECT_EQ(ch.receive(7), 0); // nothing visible before the flush
     ASSERT_EQ(reg.dirty.size(), 1u);
@@ -111,10 +114,10 @@ TEST(BoundaryChannel, LaneTaggedCreditsFlushPerLane)
     // Per-lane credit accounting across a shard boundary: grants on
     // the same ready cycle merge only within a lane -- merging across
     // lanes would credit the wrong per-lane counter at the receiver
-    // after the barrier flush.
+    // after the flush.
     RecordingRegistrar reg;
     CreditChannel ch("cr", 1);
-    ch.setBoundary(&reg, 1);
+    ch.setBoundary(&reg, 1, 0);
 
     ch.send(2, 5, /*lane=*/0);
     ch.send(3, 5, /*lane=*/1); // same cycle, different lane: no merge
@@ -139,9 +142,9 @@ TEST(BoundaryChannelDeath, HookAndBoundaryAreExclusive)
     NullHook hook;
     Channel<int> ch("b", 1);
     ch.setHook(&hook);
-    EXPECT_DEATH(ch.setBoundary(&reg, 0), "link hook");
+    EXPECT_DEATH(ch.setBoundary(&reg, 0, 0), "link hook");
     ch.setHook(nullptr);
-    ch.setBoundary(&reg, 0);
+    ch.setBoundary(&reg, 0, 0);
     EXPECT_DEATH(ch.setHook(&hook), "boundary mode");
 }
 
